@@ -962,17 +962,6 @@ pub fn run_experiments(
     )
 }
 
-/// Runs every `(algorithm, load)` experiment of a figure in parallel with
-/// the full robustness stack (see [`run_sweep`]) and returns results
-/// in deterministic order (algorithm-major, load-minor).
-///
-/// # Errors
-///
-/// The first failing experiment wins: its [`SweepError`] is returned and
-/// unclaimed points are cancelled (points already running finish but their
-/// results are dropped). Journal failures surface as
-/// [`HarnessError::Journal`]. Worker panics do not fail the sweep — they
-/// are recorded per point as [`RunOutcome::Harness`].
 /// Applies the `--topo` override (if any) to a figure spec: retargets the
 /// network, remaps topology-dependent traffic (see
 /// [`FigureSpec::with_topology`]), and drops algorithms the new topology
@@ -1005,6 +994,17 @@ pub fn apply_topology_override(spec: FigureSpec, options: &SweepOptions) -> Figu
     spec
 }
 
+/// Runs every `(algorithm, load)` experiment of a figure in parallel with
+/// the full robustness stack (see [`run_sweep`]) and returns results
+/// in deterministic order (algorithm-major, load-minor).
+///
+/// # Errors
+///
+/// The first failing experiment wins: its [`SweepError`] is returned and
+/// unclaimed points are cancelled (points already running finish but their
+/// results are dropped). Journal failures surface as
+/// [`HarnessError::Journal`]. Worker panics do not fail the sweep — they
+/// are recorded per point as [`RunOutcome::Harness`].
 pub fn run_figure(spec: &FigureSpec, options: &SweepOptions) -> Result<FigureRun, HarnessError> {
     let mut experiments = wormsim::presets::experiments_for(spec, options.schedule, options.seed);
     if options.observe_dir.is_some() || options.trace_dir.is_some() {

@@ -621,7 +621,15 @@ impl Experiment {
             .traffic
             .build(&self.topology)
             .map_err(EngineError::from)?;
-        let mean_distance = pattern.mean_distance(&self.topology);
+        self.rate_from_weights(&pattern.hop_class_weights(&self.topology))
+    }
+
+    /// Equation 4 inverted for the pattern whose hop-class weights are
+    /// `weights` (its mean distance is the weights' mean, exactly as
+    /// [`TrafficPattern::mean_distance`](wormsim_traffic::TrafficPattern::mean_distance)
+    /// computes it).
+    fn rate_from_weights(&self, weights: &[f64]) -> Result<f64, ExperimentError> {
+        let mean_distance = weights.iter().enumerate().map(|(h, w)| h as f64 * w).sum();
         let rate = throughput::rate_for_utilization(
             self.offered_load,
             self.length.mean(),
@@ -643,12 +651,12 @@ impl Experiment {
     /// [`RunResult::deadlock`] so sweeps can record partial data.
     pub fn run(&self) -> Result<RunResult, ExperimentError> {
         self.validate()?;
-        let rate = self.injection_rate()?;
         let pattern = self
             .traffic
             .build(&self.topology)
             .map_err(EngineError::from)?;
         let weights = pattern.hop_class_weights(&self.topology);
+        let rate = self.rate_from_weights(&weights)?;
         let io_err = |e: std::io::Error| ExperimentError::Io {
             message: e.to_string(),
         };

@@ -335,6 +335,18 @@ mod tests {
             base.clone().congestion_limit(Some(0)).build().unwrap_err(),
             EngineError::ZeroCongestionLimit
         );
+        assert_eq!(
+            base.clone()
+                .switching(Switching::Wormhole { buffer_depth: 256 })
+                .build()
+                .unwrap_err(),
+            EngineError::BufferTooDeep { capacity: 256 }
+        );
+        assert!(base
+            .clone()
+            .switching(Switching::Wormhole { buffer_depth: 255 })
+            .build()
+            .is_ok());
         assert!(base.build().is_ok());
     }
 

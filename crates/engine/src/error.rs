@@ -29,6 +29,13 @@ pub enum EngineError {
         /// The requested `classes * replicas` product.
         vcs: usize,
     },
+    /// Per-VC buffers deeper than 255 flits: the buffer depth (wormhole) or
+    /// the longest message (cut-through, store-and-forward) must fit the
+    /// engine's `u8` flit-ring cursors.
+    BufferTooDeep {
+        /// The requested per-VC capacity in flits.
+        capacity: u32,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -50,6 +57,13 @@ impl fmt::Display for EngineError {
                     f,
                     "{vcs} virtual channels per physical channel exceeds the supported 255 \
                      (reduce vc replicas or the network diameter)"
+                )
+            }
+            EngineError::BufferTooDeep { capacity } => {
+                write!(
+                    f,
+                    "{capacity}-flit virtual-channel buffers exceed the supported 255 \
+                     (reduce the buffer depth or the longest message length)"
                 )
             }
         }

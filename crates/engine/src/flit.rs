@@ -65,7 +65,14 @@ impl Flit {
     /// Panics if `length` is zero.
     pub fn sequence(msg: MessageId, length: u32) -> impl Iterator<Item = Flit> {
         assert!(length > 0, "messages have at least one flit");
-        (0..length).map(move |i| Flit {
+        (0..length).map(move |i| Flit::nth(msg, i, length))
+    }
+
+    /// Flit `i` (from 0) of a message with `length` flits.
+    #[inline]
+    pub(crate) fn nth(msg: MessageId, i: u32, length: u32) -> Flit {
+        debug_assert!(i < length, "flit index within the message");
+        Flit {
             msg,
             kind: if length == 1 {
                 FlitKind::Single
@@ -76,7 +83,7 @@ impl Flit {
             } else {
                 FlitKind::Body
             },
-        })
+        }
     }
 }
 

@@ -5,7 +5,7 @@ use crate::flit::{Flit, MessageId};
 use crate::message::{MessageRec, MessageSlab};
 use crate::metrics::{DeliveredMessage, Metrics};
 use crate::observer::ObserverHandle;
-use crate::vc::{InputVc, RouteTarget};
+use crate::vc::{InjectionCursor, InputVc, RouteTarget};
 use crate::{EngineError, TraceEvent};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
@@ -198,13 +198,15 @@ struct NodeState {
     ej_rr: usize,
 }
 
-/// A decided link transfer: input VC `ivc` sends one flit over the output
-/// channel of `node` in packed direction `dir`, on physical VC `vc`.
+/// A decided link transfer: input VC `ivc` (input port `port` of `node`)
+/// sends one flit over the output channel of `node` in packed direction
+/// `dir`, on physical VC `vc`.
 #[derive(Clone, Copy, Debug)]
 struct LinkMove {
     ivc: u32,
     node: u32,
     dir: u8,
+    port: u8,
     vc: u16,
 }
 
@@ -227,7 +229,100 @@ struct IvcMeta {
 struct OutputRequest {
     ivc: u32,
     vc: u16,
-    from_injection: bool,
+    /// Input port of `ivc` (`2n` = injection), carried into the
+    /// [`LinkMove`] so the execute phase needs no decode lookup.
+    port: u8,
+}
+
+/// What a failed VC allocation (every admissible output VC owned) leaves
+/// behind for the wake-up check of [`Network::phase_route`].
+///
+/// Such a head cannot route until one of its candidate channels releases a
+/// VC: its candidate set depends only on the message's routing state
+/// (frozen while the head waits) and the fault mask (any transition clears
+/// the record), and allocation success depends only on `out_owner`.
+#[derive(Clone, Copy, Debug)]
+struct WaitRecord {
+    /// Candidate directions, one bit per packed direction; 0 = no record
+    /// (route on the next pass).
+    dirs: u16,
+    /// The candidate set as `dirs × [class_lo, class_hi]`, replayed into
+    /// the metrics registry on skipped cycles. Filled in by the first
+    /// skip with the registry on; `class_lo > class_hi` until then, or for
+    /// a set of another shape, and the skip recomputes the candidates.
+    class_lo: u8,
+    class_hi: u8,
+}
+
+impl WaitRecord {
+    const NONE: WaitRecord = WaitRecord::blocked_on(0);
+
+    /// A record of the candidate directions `dirs`, classes not yet known.
+    const fn blocked_on(dirs: u16) -> Self {
+        WaitRecord {
+            dirs,
+            class_lo: 1,
+            class_hi: 0,
+        }
+    }
+}
+
+/// An input VC whose front flit is an unrouted head, with the wake-up
+/// record of its last failed VC allocation: the route phase skips the head
+/// until [`Network::released_at`] shows a release on one of the recorded
+/// channels at or after `failed_at`.
+#[derive(Clone, Copy, Debug)]
+struct PendingHead {
+    ivc: u32,
+    wait: WaitRecord,
+    /// Cycle of the last failed allocation.
+    failed_at: u64,
+}
+
+/// What [`Network::try_route`] did with a pending head.
+enum RouteOutcome {
+    /// Routed (or set to eject): the head leaves `pending_route`.
+    Routed,
+    /// Not routed, and the next cycle may differ: store-and-forward,
+    /// no live candidate under faults, or a failed allocation the wake-up
+    /// record cannot describe.
+    Retry,
+    /// Every admissible output VC was owned; the candidate directions as
+    /// in [`WaitRecord::dirs`].
+    Blocked(u16),
+}
+
+/// `Some((lo, hi))` when `candidates` is exactly every direction it names
+/// crossed with the classes `lo..=hi`, listed direction by direction with
+/// ascending classes — the shape of every paper algorithm's candidate sets
+/// (one class for all hops, or nbc's bonus-card range at the source).
+fn class_range(candidates: &[Candidate]) -> Option<(u8, u8)> {
+    let first = candidates.first()?;
+    let run = candidates
+        .iter()
+        .take_while(|c| c.direction() == first.direction())
+        .count();
+    if !candidates.len().is_multiple_of(run) {
+        return None;
+    }
+    let lo = first.vc_class();
+    let mut seen = 0u32;
+    for chunk in candidates.chunks(run) {
+        let dir = chunk[0].direction();
+        let bit = 1u32.checked_shl(dir.index() as u32)?;
+        if seen & bit != 0 {
+            return None;
+        }
+        seen |= bit;
+        let in_order = chunk
+            .iter()
+            .enumerate()
+            .all(|(i, c)| c.direction() == dir && usize::from(c.vc_class()) == usize::from(lo) + i);
+        if !in_order {
+            return None;
+        }
+    }
+    Some((lo, lo + (run - 1) as u8))
 }
 
 /// A fixed-size bitmap worklist. Iterating set bits visits indices in
@@ -297,7 +392,14 @@ pub struct Network {
     /// Per-VC input buffer capacity in flits.
     capacity: u32,
 
+    /// Route and ring cursor per input VC.
     input_vcs: Vec<InputVc>,
+    /// Flit storage of every link input VC: `capacity` slots per VC, the
+    /// window of VC `ivc` at node `node` starting at
+    /// `(ivc - node * vcs) * capacity` (injection VCs are skipped).
+    ring: Vec<Flit>,
+    /// Contents of every injection VC, indexed `node * vcs + vc`.
+    inj_cursors: Vec<InjectionCursor>,
     /// Reservation per output VC: the message currently holding it.
     out_owner: Vec<Option<MessageId>>,
     /// Credits per output VC (free slots in the paired downstream input
@@ -318,8 +420,11 @@ pub struct Network {
     /// Round-robin pointer per output channel. Bounded by `vcs`, so it
     /// shares `request_len`'s `u8` range.
     out_rr: Vec<u8>,
-    /// Input VCs whose front head still needs a route.
-    pending_route: Vec<u32>,
+    /// Input VCs whose front head still needs a route, in FIFO order.
+    pending_route: Vec<PendingHead>,
+    /// Per output channel: the last cycle one of its output VCs was
+    /// released (`out_owner` set to `None`). Wakes blocked heads.
+    released_at: Vec<u64>,
     /// Input VCs currently delivering to the local node.
     ejecting: Vec<u32>,
     /// Pending traffic arrivals as `Reverse((cycle, node))`: a min-heap so
@@ -350,10 +455,11 @@ pub struct Network {
     ch_owner: Vec<(u32, u8)>,
     /// Routing class per physical VC (`vc / replicas`).
     vc_class: Vec<u8>,
-    /// Buffer occupancy per input VC: a compact shadow of
-    /// `input_vcs[i].buffer.len()` so the switch-allocation and
-    /// injection-budget inner loops stay inside a few cache lines instead
-    /// of chasing into the full [`InputVc`] structs.
+    /// Buffer occupancy per input VC: a compact mirror of the VC's ring
+    /// length (link VCs) or cursor length (injection VCs), so the
+    /// switch-allocation and injection-budget inner loops stay inside a
+    /// few cache lines. Updated only by [`Network::push_flit`],
+    /// [`Network::pop_flit`], injection assignment and fault purges.
     occ: Vec<u32>,
     nodes: Vec<NodeState>,
     slab: MessageSlab,
@@ -453,10 +559,14 @@ impl Network {
         if vcs > u8::MAX as usize {
             return Err(EngineError::TooManyVcs { vcs });
         }
+        // Flit rings keep `u8` cursors.
+        let capacity = cfg.buffer_capacity();
+        if capacity > u32::from(u8::MAX) {
+            return Err(EngineError::BufferTooDeep { capacity });
+        }
         let dirs = topo.num_dims() * 2;
         let ports = dirs + 1;
         let n = topo.num_nodes() as usize;
-        let capacity = cfg.buffer_capacity();
 
         let ivc_meta = (0..n * ports * vcs)
             .map(|i| {
@@ -482,13 +592,16 @@ impl Network {
             .collect();
 
         let mut net = Network {
-            input_vcs: (0..n * ports * vcs).map(|_| InputVc::default()).collect(),
+            input_vcs: vec![InputVc::default(); n * ports * vcs],
+            ring: vec![Flit::nth(MessageId(0), 0, 1); n * dirs * vcs * capacity as usize],
+            inj_cursors: vec![InjectionCursor::default(); n * vcs],
             out_owner: vec![None; n * dirs * vcs],
             out_credits: vec![capacity; n * dirs * vcs],
             requests: vec![OutputRequest::default(); n * dirs * vcs],
             request_len: vec![0; n * dirs],
             out_rr: vec![0; n * dirs],
             pending_route: Vec::new(),
+            released_at: vec![0; n * dirs],
             ejecting: Vec::new(),
             arrival_heap: BinaryHeap::with_capacity(n),
             inj_dirty: BitSet::new(n),
@@ -565,6 +678,87 @@ impl Network {
     #[inline]
     fn injection_port(&self) -> usize {
         self.dirs
+    }
+
+    /// Start of link input VC `ivc`'s window in `ring` (`ivc` lives at
+    /// `node`; injection VCs own no window, so they are skipped over).
+    #[inline]
+    fn ring_base(&self, ivc: u32, node: u32) -> usize {
+        (ivc as usize - node as usize * self.vcs) * self.capacity as usize
+    }
+
+    // ------------------------------------------------------------------
+    // Input-VC contents: flit rings (link VCs) and cursors (injection).
+    // ------------------------------------------------------------------
+
+    /// The flit at the front of input VC `ivc`, if any.
+    #[inline]
+    fn front_flit(&self, ivc: u32) -> Option<Flit> {
+        self.front_flit_at(ivc, self.ivc_meta[ivc as usize])
+    }
+
+    /// [`front_flit`](Self::front_flit) with `ivc` already decoded.
+    #[inline]
+    fn front_flit_at(&self, ivc: u32, meta: IvcMeta) -> Option<Flit> {
+        if meta.port as usize == self.dirs {
+            self.inj_cursors[meta.node as usize * self.vcs + meta.vc as usize].front()
+        } else {
+            let base = self.ring_base(ivc, meta.node);
+            self.input_vcs[ivc as usize].front(&self.ring[base..base + self.capacity as usize])
+        }
+    }
+
+    /// Pops the front flit of input VC `ivc` (decoded as `meta`), keeping
+    /// `occ` in step; the VC's route clears when the tail leaves.
+    #[inline]
+    fn pop_flit(&mut self, ivc: u32, meta: IvcMeta) -> Flit {
+        self.occ[ivc as usize] -= 1;
+        let base = self.ring_base(ivc, meta.node);
+        let slot = &mut self.input_vcs[ivc as usize];
+        if meta.port as usize == self.dirs {
+            let cursor = &mut self.inj_cursors[meta.node as usize * self.vcs + meta.vc as usize];
+            let flit = cursor.pop();
+            debug_assert_eq!(
+                self.occ[ivc as usize],
+                cursor.len(),
+                "occ mirrors the cursor"
+            );
+            if flit.kind.is_tail() {
+                slot.clear_route();
+            }
+            flit
+        } else {
+            let flit = slot.pop(&self.ring[base..base + self.capacity as usize]);
+            debug_assert_eq!(self.occ[ivc as usize], slot.len(), "occ mirrors the ring");
+            flit
+        }
+    }
+
+    /// Appends `flit` to link input VC `ivc` at `node`, keeping `occ` in
+    /// step.
+    #[inline]
+    fn push_flit(&mut self, ivc: u32, node: u32, flit: Flit) {
+        let base = self.ring_base(ivc, node);
+        let slot = &mut self.input_vcs[ivc as usize];
+        slot.push(&mut self.ring[base..base + self.capacity as usize], flit);
+        self.occ[ivc as usize] += 1;
+        debug_assert_eq!(self.occ[ivc as usize], slot.len(), "occ mirrors the ring");
+    }
+
+    /// Every flit buffered in input VC `ivc`, oldest first.
+    fn buffered_flits(&self, ivc: u32) -> impl Iterator<Item = Flit> + '_ {
+        let meta = self.ivc_meta[ivc as usize];
+        let injection = meta.port as usize == self.dirs;
+        let cursor = injection
+            .then(|| self.inj_cursors[meta.node as usize * self.vcs + meta.vc as usize].flits());
+        let ring = (!injection).then(|| {
+            let base = self.ring_base(ivc, meta.node);
+            self.input_vcs[ivc as usize].flits(&self.ring[base..base + self.capacity as usize])
+        });
+        cursor
+            .into_iter()
+            .flatten()
+            .chain(ring.into_iter().flatten())
     }
 
     // ------------------------------------------------------------------
@@ -870,10 +1064,10 @@ impl Network {
             return;
         };
         let mut class_occupancy = vec![0u64; self.classes];
-        for (i, slot) in self.input_vcs.iter().enumerate() {
-            if !slot.buffer.is_empty() {
+        for (i, &occ) in self.occ.iter().enumerate() {
+            if occ != 0 {
                 let vc = i % self.vcs;
-                class_occupancy[vc / self.replicas] += slot.buffer.len() as u64;
+                class_occupancy[vc / self.replicas] += u64::from(occ);
             }
         }
         let mut queued_messages = 0u64;
@@ -1248,11 +1442,10 @@ impl Network {
                     bits &= bits - 1;
                     let node = (w * 64 + bit) as u32;
                     while !self.nodes[node as usize].queue.is_empty() {
-                        // Find a free injection VC (empty buffer, no route).
+                        // Find a free injection VC (empty, no route).
                         let Some(vc) = (0..self.vcs).find(|&vc| {
-                            let ivc = self.ivc_index(node, inj_port, vc);
-                            let slot = &self.input_vcs[ivc as usize];
-                            slot.buffer.is_empty() && slot.route.is_none()
+                            let ivc = self.ivc_index(node, inj_port, vc) as usize;
+                            self.occ[ivc] == 0 && self.input_vcs[ivc].route.is_none()
                         }) else {
                             break;
                         };
@@ -1262,10 +1455,9 @@ impl Network {
                             .expect("non-empty");
                         let length = self.slab.get(id).length;
                         let ivc = self.ivc_index(node, inj_port, vc);
-                        for flit in Flit::sequence(id, length) {
-                            self.input_vcs[ivc as usize].push(flit);
-                        }
-                        self.occ[ivc as usize] += length;
+                        self.inj_cursors[node as usize * self.vcs + vc] =
+                            InjectionCursor::new(id, length);
+                        self.occ[ivc as usize] = length;
                         self.trace(TraceEvent::InjectionStarted {
                             cycle: self.cycle,
                             msg: id,
@@ -1282,33 +1474,81 @@ impl Network {
     }
 
     fn enqueue_pending(&mut self, ivc: u32) {
-        self.pending_route.push(ivc);
+        self.pending_route.push(PendingHead {
+            ivc,
+            wait: WaitRecord::NONE,
+            failed_at: 0,
+        });
     }
 
     // ------------------------------------------------------------------
     // Phase 3: routing and VC allocation for head flits.
     // ------------------------------------------------------------------
 
+    /// Routes pending heads in FIFO order. A head whose last allocation
+    /// failed is skipped — left in place without calling
+    /// [`try_route`](Self::try_route) — until one of its candidate channels
+    /// has released an output VC since the failure (see [`PendingHead`]):
+    /// a retry before that is certain to fail, draws no RNG (the `Random`
+    /// reservoir samples only free VCs) and changes no state, so skipping
+    /// it is bit-identical. With the metrics registry on, a skipped head
+    /// still charges its failed candidates, so every counter matches a
+    /// retry too.
     fn phase_route(&mut self) {
         // In-place compaction: `try_route` never pushes to `pending_route`
-        // (failures stay, in order), so no take-and-reallocate is needed.
+        // (heads that stay keep their place, in order), so no
+        // take-and-reallocate is needed.
         let mut kept = 0;
         for i in 0..self.pending_route.len() {
-            let ivc = self.pending_route[i];
-            if !self.try_route(ivc) {
-                self.pending_route[kept] = ivc;
-                kept += 1;
+            let mut head = self.pending_route[i];
+            if head.wait.dirs != 0 && !self.woken(&head) {
+                #[cfg(debug_assertions)]
+                self.assert_still_blocked(&head);
+                if self.registry.is_some() {
+                    self.charge_skipped(&mut head);
+                }
+            } else {
+                match self.try_route(head.ivc) {
+                    RouteOutcome::Routed => continue,
+                    RouteOutcome::Retry => head.wait = WaitRecord::NONE,
+                    RouteOutcome::Blocked(dirs) => {
+                        head.wait = WaitRecord::blocked_on(dirs);
+                        head.failed_at = self.cycle;
+                    }
+                }
             }
+            self.pending_route[kept] = head;
+            kept += 1;
         }
         self.pending_route.truncate(kept);
     }
 
-    fn try_route(&mut self, ivc: u32) -> bool {
-        let (node, _port, _vc) = self.ivc_parts(ivc);
-        let slot = &self.input_vcs[ivc as usize];
-        let front = slot.front().expect("pending input VC holds its head");
+    /// Whether one of a blocked head's candidate channels released an
+    /// output VC at or after its failed allocation. Releases happen in the
+    /// execute phase (and fault sweeps), after routing in the same cycle,
+    /// so a release stamped with the failure cycle came after the failure.
+    #[inline]
+    fn woken(&self, head: &PendingHead) -> bool {
+        let base = self.ivc_meta[head.ivc as usize].node as usize * self.dirs;
+        let mut dirs = head.wait.dirs;
+        while dirs != 0 {
+            let dir = dirs.trailing_zeros() as usize;
+            dirs &= dirs - 1;
+            if self.released_at[base + dir] >= head.failed_at {
+                return true;
+            }
+        }
+        false
+    }
+
+    fn try_route(&mut self, ivc: u32) -> RouteOutcome {
+        let meta = self.ivc_meta[ivc as usize];
+        let node = meta.node;
+        let front = self
+            .front_flit(ivc)
+            .expect("pending input VC holds its head");
         debug_assert!(front.kind.is_head(), "pending front must be a head flit");
-        debug_assert!(slot.route.is_none());
+        debug_assert!(self.input_vcs[ivc as usize].route.is_none());
         let msg = front.msg;
         let rec_route = self.slab.get(msg).route;
         let here = NodeId::new(node);
@@ -1318,63 +1558,21 @@ impl Network {
             slot.route = Some(RouteTarget::Eject);
             slot.route_msg = Some(msg);
             self.ejecting.push(ivc);
-            return true;
+            return RouteOutcome::Routed;
         }
-        // Store-and-forward: only route once the whole message is here.
-        if matches!(self.cfg.switching, Switching::StoreAndForward)
+        // Store-and-forward: only route once the whole message is here (an
+        // injection VC always holds its whole message).
+        let store_and_forward = matches!(self.cfg.switching, Switching::StoreAndForward);
+        if store_and_forward
+            && meta.port as usize != self.dirs
             && !self.input_vcs[ivc as usize].front_message_complete()
         {
-            return false;
+            return RouteOutcome::Retry;
         }
 
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         candidates.clear();
-        let fault_mode = self.faults.is_some();
-        if fault_mode && rec_route.hops_taken() > self.topo.diameter() {
-            // Mis-routed past any minimal path: the algorithm's class
-            // bookkeeping may have run off the end of its range, so route
-            // greedily over live channels instead of consulting it.
-            self.fault_candidates(here, rec_route.dest(), _port, &mut candidates);
-        } else {
-            self.algo
-                .candidates(&self.topo, &rec_route, here, &mut candidates);
-            // Under faults the set may legitimately come back empty (2pn
-            // off its tag after a mis-route) or shrink to empty once dead
-            // channels are removed.
-            debug_assert!(
-                fault_mode || !candidates.is_empty(),
-                "routing must always offer a hop"
-            );
-            if let Some(fs) = &self.faults {
-                if !fs.mask.is_trivial() {
-                    candidates.retain(|c| {
-                        fs.mask
-                            .channel_alive(self.topo.channel(here, c.direction()))
-                    });
-                }
-                if candidates.is_empty()
-                    && self.cfg.misroute_on_fault
-                    && self.algo.adaptivity() != Adaptivity::NonAdaptive
-                {
-                    self.fault_candidates(here, rec_route.dest(), _port, &mut candidates);
-                }
-            }
-        }
-        if fault_mode {
-            // Mis-routing can push an algorithm's class counters (phop's
-            // hop count, nhop's negative hops) past the provisioned range;
-            // clamp to the top class rather than indexing out of bounds.
-            let max_class = (self.classes - 1) as u8;
-            for cand in candidates.iter_mut() {
-                if cand.vc_class() > max_class {
-                    *cand = Candidate::new(cand.direction(), max_class);
-                }
-            }
-            if candidates.is_empty() {
-                self.scratch_candidates = candidates;
-                return false;
-            }
-        }
+        self.route_candidates(here, meta.port as usize, &rec_route, &mut candidates);
 
         // Gather the free physical VCs permitted by the candidate set.
         let mut best: Option<(usize, u8, u16, u32)> = None; // (ovc, dir, vc, credits)
@@ -1403,16 +1601,22 @@ impl Network {
                 }
             }
         }
-        self.scratch_candidates = candidates;
 
         let Some((ovc, dir, vc, _)) = best else {
-            // Candidates existed but every admissible VC was taken: a VC
-            // allocation failure, charged to each candidate channel.
-            if self.registry.is_some() {
-                self.record_alloc_failures(node);
-            }
-            return false;
+            // No candidates (only under faults: every hop dead), or every
+            // admissible VC was taken: a VC allocation failure, charged to
+            // each candidate channel.
+            self.record_alloc_failures(node, &candidates);
+            // Store-and-forward heads are never skipped.
+            let outcome = if candidates.is_empty() || store_and_forward {
+                RouteOutcome::Retry
+            } else {
+                self.blocked_outcome(&candidates)
+            };
+            self.scratch_candidates = candidates;
+            return outcome;
         };
+        self.scratch_candidates = candidates;
         self.out_owner[ovc] = Some(msg);
         {
             let slot = &mut self.input_vcs[ivc as usize];
@@ -1420,14 +1624,14 @@ impl Network {
             slot.route_msg = Some(msg);
         }
         let ch = self.channel_index(node, dir as usize);
-        let (_, port, in_vc) = self.ivc_parts(ivc);
-        let from_injection = port == self.injection_port();
+        let in_vc = meta.vc as usize;
+        let from_injection = meta.port as usize == self.injection_port();
         let len = self.request_len[ch] as usize;
         debug_assert!(len < self.vcs, "a channel has at most `vcs` requesters");
         self.requests[ch * self.vcs + len] = OutputRequest {
             ivc,
             vc,
-            from_injection,
+            port: meta.port,
         };
         self.request_len[ch] = (len + 1) as u8;
         self.active_channels.insert(ch);
@@ -1440,22 +1644,168 @@ impl Network {
             }
             self.active_inj_nodes.insert(node as usize);
         }
-        true
+        RouteOutcome::Routed
     }
 
-    /// Charges one allocation failure per candidate channel of a head that
-    /// found every admissible VC taken (`scratch_candidates` still holds
-    /// the failed set). Cold path: only runs with metrics on, only on
-    /// failed routes.
-    fn record_alloc_failures(&mut self, node: u32) {
-        let candidates = std::mem::take(&mut self.scratch_candidates);
+    /// The candidate hops of a head at `here` that arrived on input `port`:
+    /// the algorithm's set minus dead channels — falling back to
+    /// mis-routing under faults — with classes clamped to the provisioned
+    /// range. Empty only under faults. Reads state only, so the skip path
+    /// can recompute exactly what [`try_route`](Self::try_route) saw.
+    fn route_candidates(
+        &self,
+        here: NodeId,
+        port: usize,
+        route: &MessageRouteState,
+        out: &mut Vec<Candidate>,
+    ) {
+        let fault_mode = self.faults.is_some();
+        if fault_mode && route.hops_taken() > self.topo.diameter() {
+            // Mis-routed past any minimal path: the algorithm's class
+            // bookkeeping may have run off the end of its range, so route
+            // greedily over live channels instead of consulting it.
+            self.fault_candidates(here, route.dest(), port, out);
+        } else {
+            self.algo.candidates(&self.topo, route, here, out);
+            // Under faults the set may legitimately come back empty (2pn
+            // off its tag after a mis-route) or shrink to empty once dead
+            // channels are removed.
+            debug_assert!(
+                fault_mode || !out.is_empty(),
+                "routing must always offer a hop"
+            );
+            if let Some(fs) = &self.faults {
+                if !fs.mask.is_trivial() {
+                    out.retain(|c| {
+                        fs.mask
+                            .channel_alive(self.topo.channel(here, c.direction()))
+                    });
+                }
+                if out.is_empty()
+                    && self.cfg.misroute_on_fault
+                    && self.algo.adaptivity() != Adaptivity::NonAdaptive
+                {
+                    self.fault_candidates(here, route.dest(), port, out);
+                }
+            }
+        }
+        if fault_mode {
+            // Mis-routing can push an algorithm's class counters (phop's
+            // hop count, nhop's negative hops) past the provisioned range;
+            // clamp to the top class rather than indexing out of bounds.
+            let max_class = (self.classes - 1) as u8;
+            for cand in out.iter_mut() {
+                if cand.vc_class() > max_class {
+                    *cand = Candidate::new(cand.direction(), max_class);
+                }
+            }
+        }
+    }
+
+    /// The candidates [`try_route`](Self::try_route) would compute for the
+    /// head pending at `ivc`.
+    fn head_candidates(&self, ivc: u32, out: &mut Vec<Candidate>) {
+        let meta = self.ivc_meta[ivc as usize];
+        let front = self
+            .front_flit(ivc)
+            .expect("pending input VC holds its head");
+        let route = self.slab.get(front.msg).route;
+        out.clear();
+        self.route_candidates(NodeId::new(meta.node), meta.port as usize, &route, out);
+    }
+
+    /// The wake-up record of a failed allocation over `candidates`, or
+    /// `Retry` when the directions do not fit [`WaitRecord::dirs`].
+    fn blocked_outcome(&self, candidates: &[Candidate]) -> RouteOutcome {
+        if self.dirs > u16::BITS as usize {
+            return RouteOutcome::Retry;
+        }
+        let dirs = candidates
+            .iter()
+            .fold(0u16, |acc, c| acc | 1 << c.direction().index());
+        RouteOutcome::Blocked(dirs)
+    }
+
+    /// Charges one allocation failure per candidate channel of a head at
+    /// `node` that found every admissible VC taken. No-op with metrics off.
+    fn record_alloc_failures(&mut self, node: u32, candidates: &[Candidate]) {
         if let Some(reg) = self.registry.as_deref_mut() {
-            for cand in &candidates {
+            for cand in candidates {
                 let ch = node as usize * self.dirs + cand.direction().index();
                 reg.record_alloc_failure(ch, cand.vc_class() as usize);
             }
         }
-        self.scratch_candidates = candidates;
+    }
+
+    /// Charges a skipped head's failed candidates to the registry, exactly
+    /// as the retry it replaces would have. The first such charge
+    /// recomputes the candidates and records their class range, so later
+    /// skips replay it from the record.
+    fn charge_skipped(&mut self, head: &mut PendingHead) {
+        let node = self.ivc_meta[head.ivc as usize].node;
+        let WaitRecord {
+            dirs,
+            class_lo,
+            class_hi,
+        } = head.wait;
+        if class_lo <= class_hi {
+            let Some(reg) = self.registry.as_deref_mut() else {
+                return;
+            };
+            let mut dirs = dirs;
+            while dirs != 0 {
+                let ch = node as usize * self.dirs + dirs.trailing_zeros() as usize;
+                dirs &= dirs - 1;
+                for class in class_lo..=class_hi {
+                    reg.record_alloc_failure(ch, class as usize);
+                }
+            }
+        } else {
+            let mut candidates = std::mem::take(&mut self.scratch_candidates);
+            self.head_candidates(head.ivc, &mut candidates);
+            self.record_alloc_failures(node, &candidates);
+            if let Some((lo, hi)) = class_range(&candidates) {
+                head.wait.class_lo = lo;
+                head.wait.class_hi = hi;
+            }
+            self.scratch_candidates = candidates;
+        }
+    }
+
+    /// Debug-build exactness check of the skip: recomputes the skipped
+    /// head's candidates without side effects and asserts that every
+    /// admissible output VC is still owned and the record still describes
+    /// them.
+    #[cfg(debug_assertions)]
+    fn assert_still_blocked(&self, head: &PendingHead) {
+        let mut candidates = Vec::new();
+        self.head_candidates(head.ivc, &mut candidates);
+        let node = self.ivc_meta[head.ivc as usize].node;
+        let mut dirs = 0u16;
+        for cand in &candidates {
+            let dir = cand.direction().index();
+            dirs |= 1 << dir;
+            let base = cand.vc_class() as usize * self.replicas;
+            for r in 0..self.replicas {
+                assert!(
+                    self.out_owner[self.ovc_index(node, dir, base + r)].is_some(),
+                    "cycle {}: skipped head at input VC {} has a free admissible VC",
+                    self.cycle,
+                    head.ivc
+                );
+            }
+        }
+        assert_eq!(
+            dirs, head.wait.dirs,
+            "skipped head's candidate channels changed"
+        );
+        if head.wait.class_lo <= head.wait.class_hi {
+            assert_eq!(
+                class_range(&candidates),
+                Some((head.wait.class_lo, head.wait.class_hi)),
+                "skipped head's candidate classes changed"
+            );
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1463,6 +1813,7 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn phase_switch_allocation(&mut self) {
+        let inj_port = self.injection_port();
         self.scratch_moves.clear();
         self.mark_injection_budget();
         // Moved out of `self` so the blocked-requester accounting below
@@ -1506,7 +1857,7 @@ impl Network {
                         // The output-VC index is the channel's row base
                         // plus the granted VC (not stored in the request).
                         let granted = self.occ[req.ivc as usize] != 0
-                            && (!req.from_injection || self.marked_inj[req.ivc as usize])
+                            && (req.port as usize != inj_port || self.marked_inj[req.ivc as usize])
                             && self.out_credits[row + req.vc as usize] != 0;
                         idx += 1;
                         if idx == len {
@@ -1521,6 +1872,7 @@ impl Network {
                                 ivc: req.ivc,
                                 node,
                                 dir,
+                                port: req.port,
                                 vc: req.vc,
                             });
                             self.out_rr[ch] = idx as u8;
@@ -1619,8 +1971,9 @@ impl Network {
             EjectionModel::PerVc => {
                 for i in 0..self.ejecting.len() {
                     let ivc = self.ejecting[i];
-                    let slot = &self.input_vcs[ivc as usize];
-                    if slot.route == Some(RouteTarget::Eject) && !slot.buffer.is_empty() {
+                    if self.input_vcs[ivc as usize].route == Some(RouteTarget::Eject)
+                        && self.occ[ivc as usize] != 0
+                    {
                         self.eject_one(ivc);
                         progressed = true;
                     }
@@ -1636,8 +1989,9 @@ impl Network {
                 ready.clear();
                 for i in 0..self.ejecting.len() {
                     let ivc = self.ejecting[i];
-                    let slot = &self.input_vcs[ivc as usize];
-                    if slot.route == Some(RouteTarget::Eject) && !slot.buffer.is_empty() {
+                    if self.input_vcs[ivc as usize].route == Some(RouteTarget::Eject)
+                        && self.occ[ivc as usize] != 0
+                    {
                         let (node, _, _) = self.ivc_parts(ivc);
                         ready.push((node, ivc));
                     }
@@ -1675,10 +2029,10 @@ impl Network {
     }
 
     fn eject_one(&mut self, ivc: u32) {
-        let (node, port, _vc) = self.ivc_parts(ivc);
-        let flit = self.input_vcs[ivc as usize].pop();
-        self.occ[ivc as usize] -= 1;
-        self.return_credit(node, port, ivc);
+        let meta = self.ivc_meta[ivc as usize];
+        let (node, port) = (meta.node, meta.port as usize);
+        let flit = self.pop_flit(ivc, meta);
+        self.return_credit(node, port, meta.vc as usize);
         self.metrics.flits_ejected += 1;
         self.flits_in_flight -= 1;
         self.trace(TraceEvent::FlitDelivered {
@@ -1713,7 +2067,7 @@ impl Network {
                 length: rec.length,
                 delivered_at: self.cycle,
             });
-            self.after_tail_pop(ivc);
+            self.after_tail_pop(ivc, meta);
         }
     }
 
@@ -1728,10 +2082,14 @@ impl Network {
     }
 
     fn execute_link_move(&mut self, mv: LinkMove) {
-        let (node, port, _) = self.ivc_parts(mv.ivc);
-        debug_assert_eq!(node, mv.node);
-        let flit = self.input_vcs[mv.ivc as usize].pop();
-        self.occ[mv.ivc as usize] -= 1;
+        let (node, port) = (mv.node, mv.port as usize);
+        let meta = IvcMeta {
+            node,
+            port: mv.port,
+            vc: (mv.ivc as usize - (node as usize * self.ports + port) * self.vcs) as u16,
+        };
+        debug_assert_eq!(self.ivc_parts(mv.ivc), (node, port, meta.vc as usize));
+        let flit = self.pop_flit(mv.ivc, meta);
         let dir = Direction::from_index(mv.dir as usize);
         let inj_port = self.injection_port();
 
@@ -1762,19 +2120,18 @@ impl Network {
                     let rec = self.slab.get(flit.msg);
                     (rec.injection_class, rec.src)
                 };
-                let (_, _, vc) = self.ivc_parts(mv.ivc);
                 self.release_class_slot(src, injection_class);
                 self.nodes[src.as_usize()]
                     .streaming_inj
-                    .retain(|&v| v as usize != vc);
+                    .retain(|&v| v != meta.vc);
             }
         } else {
-            self.return_credit(node, port, mv.ivc);
+            self.return_credit(node, port, meta.vc as usize);
         }
 
         if flit.kind.is_tail() {
             self.remove_request(self.channel_index(node, mv.dir as usize), mv.ivc);
-            self.after_tail_pop(mv.ivc);
+            self.after_tail_pop(mv.ivc, meta);
         }
 
         // Deliver the flit into the neighbor's input buffer.
@@ -1784,13 +2141,8 @@ impl Network {
             "routed moves follow existing channels"
         );
         let div = self.ivc_index(neighbor, dir.index(), mv.vc as usize);
-        let was_empty = self.input_vcs[div as usize].buffer.is_empty();
-        debug_assert!(
-            (self.input_vcs[div as usize].buffer.len() as u32) < self.capacity,
-            "credit flow control must prevent overflow"
-        );
-        self.input_vcs[div as usize].push(flit);
-        self.occ[div as usize] += 1;
+        let was_empty = self.occ[div as usize] == 0;
+        self.push_flit(div, neighbor, flit);
         if was_empty && flit.kind.is_head() {
             debug_assert!(self.input_vcs[div as usize].route.is_none());
             self.enqueue_pending(div);
@@ -1798,14 +2150,15 @@ impl Network {
 
         // Channel bookkeeping.
         let ovc = self.ovc_index(node, mv.dir as usize, mv.vc as usize);
+        let ch = self.channel_index(node, mv.dir as usize);
         self.out_credits[ovc] -= 1;
         if flit.kind.is_tail() {
             self.out_owner[ovc] = None;
+            self.released_at[ch] = self.cycle;
         }
         self.metrics.flit_hops += 1;
         let class = self.vc_class[mv.vc as usize] as usize;
         self.metrics.class_flits[class] += 1;
-        let ch = self.channel_index(node, mv.dir as usize);
         if let Some(loads) = self.metrics.channel_flits.as_mut() {
             loads[ch] += 1;
         }
@@ -1827,8 +2180,8 @@ impl Network {
 
     /// After a tail leaves an input VC: if the next message's head is now
     /// at the front, it needs routing.
-    fn after_tail_pop(&mut self, ivc: u32) {
-        if let Some(front) = self.input_vcs[ivc as usize].front() {
+    fn after_tail_pop(&mut self, ivc: u32, meta: IvcMeta) {
+        if let Some(front) = self.front_flit_at(ivc, meta) {
             debug_assert!(
                 front.kind.is_head(),
                 "messages interleave only at message boundaries"
@@ -1837,16 +2190,16 @@ impl Network {
         }
     }
 
-    /// Returns one credit to the upstream output VC feeding `ivc` (no-op
-    /// for injection ports, whose buffers are node-internal).
-    fn return_credit(&mut self, node: u32, port: usize, ivc: u32) {
+    /// Returns one credit to the upstream output VC feeding VC `vc` of
+    /// input `port` at `node` (no-op for injection ports, whose buffers are
+    /// node-internal).
+    fn return_credit(&mut self, node: u32, port: usize, vc: usize) {
         if port >= self.dirs {
             return;
         }
         let arrive_dir = Direction::from_index(port);
         let upstream = self.neighbor_of[self.channel_index(node, arrive_dir.opposite().index())];
         debug_assert!(upstream != u32::MAX, "flits arrive over existing channels");
-        let (_, _, vc) = self.ivc_parts(ivc);
         let ovc = self.ovc_index(upstream, arrive_dir.index(), vc);
         self.out_credits[ovc] += 1;
         debug_assert!(self.out_credits[ovc] <= self.capacity);
@@ -1943,6 +2296,10 @@ impl Network {
             fs.mask = mask;
             fs.reach = reach;
             self.fault_sweep();
+            // The mask shapes every candidate set: re-try every head.
+            for head in &mut self.pending_route {
+                head.wait = WaitRecord::NONE;
+            }
         }
     }
 
@@ -1963,8 +2320,8 @@ impl Network {
             let fs = self.faults.as_ref().expect("sweep requires fault state");
             let mut head_at: HashMap<MessageId, u32> = HashMap::new();
             let mut has_flits: HashSet<MessageId> = HashSet::new();
-            for (i, slot) in self.input_vcs.iter().enumerate() {
-                if slot.buffer.is_empty() {
+            for (i, &occ) in self.occ.iter().enumerate() {
+                if occ == 0 {
                     continue;
                 }
                 let meta = self.ivc_meta[i];
@@ -1979,7 +2336,7 @@ impl Network {
                         None => false,
                     }
                 };
-                for flit in &slot.buffer {
+                for flit in self.buffered_flits(i as u32) {
                     has_flits.insert(flit.msg);
                     if node_dead || feed_dead {
                         doomed.insert(flit.msg);
@@ -2114,14 +2471,20 @@ impl Network {
                 slot.route = None;
                 slot.route_msg = None;
             }
-            if self.input_vcs[ivc as usize].buffer.is_empty() {
-                continue;
-            }
-            let (removed, front_was_msg) = self.input_vcs[ivc as usize].purge_message(msg);
-            if removed == 0 {
+            if self.occ[ivc as usize] == 0 {
                 continue;
             }
             let (node, port, vc) = self.ivc_parts(ivc);
+            let (removed, front_was_msg) = if port == inj_port {
+                self.inj_cursors[node as usize * self.vcs + vc].purge_message(msg)
+            } else {
+                let base = self.ring_base(ivc, node);
+                let ring = &mut self.ring[base..base + self.capacity as usize];
+                self.input_vcs[ivc as usize].purge_message(ring, msg)
+            };
+            if removed == 0 {
+                continue;
+            }
             self.occ[ivc as usize] -= removed;
             dropped += u64::from(removed);
             if port == inj_port {
@@ -2134,31 +2497,32 @@ impl Network {
                 self.release_class_slot(NodeId::new(node), injection_class);
             } else {
                 for _ in 0..removed {
-                    self.return_credit(node, port, ivc);
+                    self.return_credit(node, port, vc);
                 }
             }
             // The purge exposed a new front only when this VC's route
             // belonged to the dead message; an unrouted head at the front
             // means the VC is already in `pending_route` (kept or dropped
             // by the retain below).
-            if owns_route && front_was_msg && !self.input_vcs[ivc as usize].buffer.is_empty() {
+            if owns_route && front_was_msg && self.occ[ivc as usize] != 0 {
                 revealed.push(ivc);
             }
         }
         for ovc in 0..self.out_owner.len() {
             if self.out_owner[ovc] == Some(msg) {
                 self.out_owner[ovc] = None;
+                self.released_at[ovc / self.vcs] = self.cycle;
             }
         }
-        self.pending_route.retain(|&p| {
-            let slot = &self.input_vcs[p as usize];
-            slot.route.is_none() && slot.front().is_some_and(|f| f.kind.is_head())
+        let mut pending = std::mem::take(&mut self.pending_route);
+        pending.retain(|p| {
+            self.input_vcs[p.ivc as usize].route.is_none()
+                && self.front_flit(p.ivc).is_some_and(|f| f.kind.is_head())
         });
+        self.pending_route = pending;
         for ivc in revealed {
             debug_assert!(
-                self.input_vcs[ivc as usize]
-                    .front()
-                    .is_some_and(|f| f.kind.is_head()),
+                self.front_flit(ivc).is_some_and(|f| f.kind.is_head()),
                 "messages interleave only at message boundaries"
             );
             self.enqueue_pending(ivc);
@@ -2235,9 +2599,9 @@ impl Network {
 
         // Heads pending routing: blocked on VC allocation.
         let mut candidates: Vec<Candidate> = Vec::new();
-        for &ivc in &self.pending_route {
+        for &PendingHead { ivc, .. } in &self.pending_route {
             let (node, _, _) = self.ivc_parts(ivc);
-            let Some(front) = self.input_vcs[ivc as usize].front() else {
+            let Some(front) = self.front_flit(ivc) else {
                 continue;
             };
             let msg = front.msg;
@@ -2296,7 +2660,7 @@ impl Network {
             let neighbor = self.neighbor_of[ch];
             debug_assert!(neighbor != u32::MAX, "routes follow existing channels");
             let div = self.ivc_index(neighbor, dir as usize, vc as usize);
-            let Some(front) = self.input_vcs[div as usize].front() else {
+            let Some(front) = self.front_flit(div) else {
                 continue;
             };
             let holder = front.msg;
@@ -2402,6 +2766,56 @@ mod tests {
         net.run(100_000);
         // The first check (n == 0) sees the tripped token immediately.
         assert_eq!(net.cycle(), 500);
+    }
+
+    #[test]
+    fn blocked_heads_skip_until_a_candidate_channel_releases() {
+        // A saturated 4x4 torus: heads pile up behind owned VCs. Some
+        // pending heads must carry a live wake-up record (so the route
+        // phase skips them), and a release on a candidate channel must
+        // wake the head.
+        let mut net = NetworkBuilder::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube)
+            .arrival(wormsim_traffic::ArrivalProcess::geometric(0.2).unwrap())
+            .message_length(wormsim_traffic::MessageLength::fixed(8).unwrap())
+            .seed(3)
+            .build()
+            .unwrap();
+        let mut skipped = 0;
+        for _ in 0..500 {
+            net.step();
+            skipped += net
+                .pending_route
+                .iter()
+                .filter(|h| h.wait.dirs != 0 && !net.woken(h))
+                .count();
+        }
+        assert!(skipped > 0, "saturated heads must be skipped");
+        let head = *net
+            .pending_route
+            .iter()
+            .find(|h| h.wait.dirs != 0)
+            .expect("a blocked head remains");
+        let ch = net.ivc_meta[head.ivc as usize].node as usize * net.dirs
+            + head.wait.dirs.trailing_zeros() as usize;
+        net.released_at[ch] = head.failed_at;
+        assert!(net.woken(&head), "a release at the failure cycle wakes it");
+    }
+
+    #[test]
+    fn class_range_accepts_only_direction_by_class_grids() {
+        use wormsim_topology::Sign;
+        let c = |dim: usize, class: u8| Candidate::new(Direction::new(dim, Sign::Plus), class);
+        assert_eq!(class_range(&[c(0, 2)]), Some((2, 2)));
+        assert_eq!(class_range(&[c(0, 3), c(1, 3)]), Some((3, 3)));
+        assert_eq!(
+            class_range(&[c(0, 0), c(0, 1), c(1, 0), c(1, 1)]),
+            Some((0, 1))
+        );
+        assert_eq!(class_range(&[]), None);
+        assert_eq!(class_range(&[c(0, 0), c(1, 1)]), None);
+        assert_eq!(class_range(&[c(0, 0), c(0, 1), c(1, 0)]), None);
+        assert_eq!(class_range(&[c(0, 0), c(0, 0)]), None);
+        assert_eq!(class_range(&[c(0, 3), c(1, 3), c(0, 3)]), None);
     }
 
     #[test]

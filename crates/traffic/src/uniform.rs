@@ -1,7 +1,7 @@
 //! Uniform random traffic.
 
 use crate::{SimRng, TrafficPattern};
-use wormsim_topology::{NodeId, Topology};
+use wormsim_topology::{NodeId, Topology, TopologyKind};
 
 /// Uniform traffic: every other node is an equally likely destination.
 ///
@@ -52,6 +52,66 @@ impl TrafficPattern for Uniform {
         dist[src.as_usize()] = 0.0;
         dist
     }
+
+    /// Bit-identical to the trait's pair-by-pair fold without visiting the
+    /// pairs: every term that fold adds to a hop class is the same
+    /// `p = 1/(N-1)`, so adding `p` once per pair, from exact integer pair
+    /// counts, reproduces each sum's rounding exactly.
+    fn hop_class_weights(&self, topo: &Topology) -> Vec<f64> {
+        let p = 1.0 / (self.num_nodes - 1) as f64;
+        let n = f64::from(self.num_nodes);
+        pairs_per_distance(topo)
+            .iter()
+            .enumerate()
+            .map(|(d, &pairs)| {
+                let mut w = 0.0;
+                // Distance 0 is a node to itself: the fold skips it (p = 0).
+                if d > 0 {
+                    for _ in 0..pairs {
+                        w += p;
+                    }
+                }
+                w / n
+            })
+            .collect()
+    }
+}
+
+/// Ordered node pairs `(src, dest)` at each minimal distance `0..=diameter`,
+/// as exact integers. A torus is node-symmetric, so the counts are `N` times
+/// the distance histogram from one node; on a mesh they are the convolution
+/// of the per-dimension counts of ordered coordinate pairs.
+fn pairs_per_distance(topo: &Topology) -> Vec<u64> {
+    let torus = topo.kind() == TopologyKind::Torus;
+    let mut counts = vec![1u64];
+    for &k in topo.dims() {
+        let k = u64::from(k);
+        let per_dim: Vec<u64> = if torus {
+            // Ring positions at each distance from coordinate 0.
+            (0..=k / 2)
+                .map(|j| if j == 0 || 2 * j == k { 1 } else { 2 })
+                .collect()
+        } else {
+            // Ordered coordinate pairs on a line of k at each distance.
+            (0..k)
+                .map(|j| if j == 0 { k } else { 2 * (k - j) })
+                .collect()
+        };
+        let mut next = vec![0u64; counts.len() + per_dim.len() - 1];
+        for (a, &ca) in counts.iter().enumerate() {
+            for (b, &cb) in per_dim.iter().enumerate() {
+                next[a + b] += ca * cb;
+            }
+        }
+        counts = next;
+    }
+    if torus {
+        let n = u64::from(topo.num_nodes());
+        for c in &mut counts {
+            *c *= n;
+        }
+    }
+    counts
 }
 
 #[cfg(test)]
@@ -78,6 +138,26 @@ mod tests {
         let topo = Topology::torus(&[16, 16]);
         let uniform = Uniform::new(&topo);
         assert!((uniform.mean_distance(&topo) - topo.uniform_avg_distance()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pair_counts_cover_every_ordered_pair() {
+        for topo in [
+            Topology::torus(&[5, 4]),
+            Topology::mesh(&[3, 6]),
+            Topology::torus(&[2]),
+        ] {
+            let n = u64::from(topo.num_nodes());
+            let mut brute = vec![0u64; topo.diameter() as usize + 1];
+            for src in topo.nodes() {
+                for dest in topo.nodes() {
+                    brute[topo.distance(src, dest) as usize] += 1;
+                }
+            }
+            let counts = pairs_per_distance(&topo);
+            assert_eq!(counts, brute, "{topo}");
+            assert_eq!(counts.iter().sum::<u64>(), n * n);
+        }
     }
 
     #[test]

@@ -3,7 +3,38 @@
 
 use proptest::prelude::*;
 use wormsim_topology::{NodeId, Topology};
-use wormsim_traffic::{SimRng, TrafficConfig};
+use wormsim_traffic::{SimRng, TrafficConfig, TrafficPattern, Uniform};
+
+/// Uniform traffic with the trait's default pair-by-pair
+/// `hop_class_weights` fold, the reference for `Uniform`'s override.
+#[derive(Debug)]
+struct DefaultFold(Uniform);
+
+impl TrafficPattern for DefaultFold {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn sample_dest(&self, src: NodeId, rng: &mut SimRng) -> NodeId {
+        self.0.sample_dest(src, rng)
+    }
+
+    fn dest_distribution(&self, src: NodeId) -> Vec<f64> {
+        self.0.dest_distribution(src)
+    }
+}
+
+/// Random 1D/2D/3D tori and meshes with radices 2..=9 (odd radices and
+/// k = 2 included).
+fn arb_topology() -> impl Strategy<Value = Topology> {
+    (prop::collection::vec(2u16..=9, 1..=3), any::<bool>()).prop_map(|(dims, torus)| {
+        if torus {
+            Topology::torus(&dims)
+        } else {
+            Topology::mesh(&dims)
+        }
+    })
+}
 
 fn arb_setup() -> impl Strategy<Value = (Topology, TrafficConfig, u32, u64)> {
     let topo = prop_oneof![
@@ -78,6 +109,25 @@ proptest! {
         prop_assert_eq!(weights[0], 0.0, "no zero-hop messages");
         let mean: f64 = weights.iter().enumerate().map(|(h, w)| h as f64 * w).sum();
         prop_assert!((mean - pattern.mean_distance(&topo)).abs() < 1e-9);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Uniform`'s closed-form hop-class weights (and so its mean
+    /// distance) equal the default fold bit for bit.
+    #[test]
+    fn uniform_weights_match_default_fold_bitwise(topo in arb_topology()) {
+        let uniform = Uniform::new(&topo);
+        let reference = DefaultFold(Uniform::new(&topo));
+        let fast: Vec<u64> = uniform.hop_class_weights(&topo).iter().map(|w| w.to_bits()).collect();
+        let fold: Vec<u64> = reference.hop_class_weights(&topo).iter().map(|w| w.to_bits()).collect();
+        prop_assert_eq!(fast, fold, "{}", topo);
+        prop_assert_eq!(
+            uniform.mean_distance(&topo).to_bits(),
+            reference.mean_distance(&topo).to_bits()
+        );
     }
 }
 

@@ -6,20 +6,24 @@
 //!   fig3 run, one snapshot per routing algorithm, and
 //! * full [`RunResult`]s for one quick point of each of the paper's
 //!   fig3/fig4/fig5 presets (timing fields zeroed — wall-clock speed is the
-//!   only non-deterministic part of a run).
+//!   only non-deterministic part of a run), and
+//! * deep-telemetry registry counters (VC-allocation failures and blocked
+//!   requester-cycles) of saturated runs across topologies, switching
+//!   modes, selection policies and a transient fault plan.
 //!
 //! Any engine change that alters RNG consumption order, phase ordering, or
 //! arbitration behavior shows up here as a golden mismatch. Deliberate
 //! semantic changes regenerate the goldens with
 //! `WORMSIM_UPDATE_GOLDEN=1 cargo test --test determinism`.
 
+use wormsim::engine::{SelectionPolicy, Switching};
 use wormsim::observe::JsonObject;
 use wormsim::presets;
 use wormsim::stats::throughput;
-use wormsim::topology::Topology;
+use wormsim::topology::{Direction, Sign, Topology};
 use wormsim::{
-    AlgorithmKind, ArrivalProcess, Experiment, MessageLength, NetworkBuilder, RunResult,
-    TrafficConfig,
+    AlgorithmKind, ArrivalProcess, Experiment, Fault, FaultPlan, FaultRegion, FaultTarget,
+    MessageLength, NetworkBuilder, RunResult, TrafficConfig,
 };
 
 const SEED: u64 = 1993;
@@ -238,6 +242,167 @@ fn large_network_metrics_match_golden() {
     let mut snapshot = lines.join("\n");
     snapshot.push('\n');
     assert_matches_golden("scaling_metrics_seed1993.jsonl", &snapshot);
+}
+
+/// FNV-1a over the little-endian bytes of `values`.
+fn fnv1a(values: &[u64]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in values.iter().flat_map(|v| v.to_le_bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// One registry-golden case: a saturated uniform run with the deep
+/// telemetry registry on.
+struct RegistryCase {
+    label: Option<&'static str>,
+    topo: Topology,
+    algorithm: AlgorithmKind,
+    switching: Switching,
+    selection: SelectionPolicy,
+    replicas: u32,
+    faults: Option<FaultPlan>,
+}
+
+impl RegistryCase {
+    fn new(topo: Topology, algorithm: AlgorithmKind) -> Self {
+        RegistryCase {
+            label: None,
+            topo,
+            algorithm,
+            switching: Switching::wormhole(),
+            selection: SelectionPolicy::MostCredits,
+            replicas: 1,
+            faults: None,
+        }
+    }
+
+    fn run(mut self) -> String {
+        const CYCLES: u64 = 1_500;
+        // Offered load 0.6 saturates every configuration below.
+        let pattern = TrafficConfig::Uniform
+            .build(&self.topo)
+            .expect("uniform builds");
+        let rate = throughput::rate_for_utilization(
+            0.6,
+            8.0,
+            pattern.mean_distance(&self.topo),
+            self.topo.num_dims(),
+        );
+        let mut builder = NetworkBuilder::new(self.topo.clone(), self.algorithm)
+            .arrival(ArrivalProcess::geometric(rate).expect("valid rate"))
+            .message_length(MessageLength::fixed(8).expect("valid length"))
+            .switching(self.switching)
+            .selection(self.selection)
+            .vc_replicas(self.replicas)
+            .seed(SEED);
+        if let Some(plan) = self.faults.take() {
+            builder = builder.faults(plan);
+        }
+        let mut net = builder.build().expect("network builds");
+        net.observer().metrics_on();
+        net.run(CYCLES);
+        let reg = net.metrics_registry().expect("registry installed");
+        let m = net.metrics();
+        let mut out = format!(
+            "{} {:?} {:?} x{} ",
+            self.topo.label(),
+            self.switching,
+            self.selection,
+            self.replicas
+        );
+        if let Some(label) = self.label {
+            out.push_str(label);
+            out.push(' ');
+        }
+        let mut obj = JsonObject::begin(&mut out);
+        obj.field_str("algorithm", self.algorithm.name())
+            .field_u64("generated", m.generated)
+            .field_u64("delivered", m.delivered)
+            .field_u64("flit_hops", m.flit_hops)
+            .field_u64("flits_injected", m.flits_injected)
+            .field_u64("flits_ejected", m.flits_ejected)
+            .field_u64("messages_aborted", m.messages_aborted)
+            .field_u64_array("class_flits", &m.class_flits)
+            .field_u64_array("class_alloc_fail", &reg.class_alloc_fail)
+            .field_u64_array("class_blocked", &reg.class_blocked)
+            .field_u64("channel_alloc_fail_fnv", fnv1a(&reg.channel_alloc_fail))
+            .field_u64("channel_blocked_fnv", fnv1a(&reg.channel_blocked))
+            .field_u64("latency_count", reg.latency.count())
+            .field_u64("latency_sum", reg.latency.sum());
+        obj.finish();
+        out
+    }
+}
+
+/// Registry counters pin *how* the engine arbitrates, not only what it
+/// delivers: every failed VC allocation and every blocked requester-cycle
+/// is counted per channel. Covers {ecube, nbc, 2pn, nlast} on two tori
+/// and a mesh at a saturating load, the three switching modes, the three
+/// selection policies, and a transient fault plan.
+#[test]
+fn registry_counters_match_golden() {
+    let algorithms = [
+        AlgorithmKind::Ecube,
+        AlgorithmKind::NegativeHopBonusCards,
+        AlgorithmKind::TwoPowerN,
+        AlgorithmKind::NorthLast,
+    ];
+    let mut cases = Vec::new();
+    for topo in [
+        Topology::torus(&[8, 8]),
+        Topology::k_ary_n_cube(4, 3),
+        Topology::mesh(&[8, 8]),
+    ] {
+        for algorithm in algorithms {
+            cases.push(RegistryCase::new(topo.clone(), algorithm));
+        }
+    }
+    for switching in [Switching::VirtualCutThrough, Switching::StoreAndForward] {
+        for algorithm in [AlgorithmKind::Ecube, AlgorithmKind::NegativeHopBonusCards] {
+            let mut case = RegistryCase::new(Topology::torus(&[8, 8]), algorithm);
+            case.switching = switching;
+            cases.push(case);
+        }
+    }
+    for selection in [
+        SelectionPolicy::FirstFree,
+        SelectionPolicy::MostCredits,
+        SelectionPolicy::Random,
+    ] {
+        let mut case = RegistryCase::new(
+            Topology::torus(&[8, 8]),
+            AlgorithmKind::NegativeHopBonusCards,
+        );
+        case.selection = selection;
+        case.replicas = 2;
+        cases.push(case);
+    }
+    for algorithm in [AlgorithmKind::Ecube, AlgorithmKind::NegativeHopBonusCards] {
+        let topo = Topology::torus(&[8, 8]);
+        let mut plan = FaultPlan::random_links(&topo, 3, SEED, &FaultRegion::Anywhere);
+        plan.push(Fault {
+            target: FaultTarget::Link {
+                node: topo.node_at(&[3, 3]),
+                direction: Direction::new(0, Sign::Plus),
+            },
+            fail_at: 400,
+            repair_at: Some(900),
+        });
+        let mut case = RegistryCase::new(topo, algorithm);
+        case.label = Some("transient");
+        case.faults = Some(plan);
+        cases.push(case);
+    }
+    let mut snapshot: String = cases
+        .into_iter()
+        .map(RegistryCase::run)
+        .collect::<Vec<_>>()
+        .join("\n");
+    snapshot.push('\n');
+    assert_matches_golden("registry_seed1993.jsonl", &snapshot);
 }
 
 /// The same experiment run twice in-process gives identical results — the

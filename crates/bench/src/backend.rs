@@ -1,33 +1,34 @@
 //! The [`WorkerBackend`] abstraction: where sweep points actually run.
 //!
 //! The orchestrator ([`run_sweep`](crate::run_sweep)) is backend-agnostic:
-//! it submits [`PointJob`]s, polls their [`PointStatus`], and feeds
-//! completed points to the deterministic committer. Two backends exist:
+//! its supervisor submits [`PointJob`]s, polls their [`PointStatus`], and
+//! feeds completed points to the deterministic committer. Two backends
+//! exist:
 //!
-//! * [`LocalThreadBackend`] — the classic in-process pool, one OS thread
-//!   per slot. Behavior-preserving port of the old scoped-thread
-//!   orchestrator: per-point panic isolation, bounded seed-jittered
-//!   retries, cooperative shutdown.
+//! * [`LocalThreadBackend`] — the in-process pool, one OS thread per
+//!   slot, with cooperative shutdown.
 //! * [`RemoteBackend`](crate::remote::RemoteBackend) — HTTP submit/poll
 //!   against one or more `wormsim-worker` processes (see
 //!   [`worker`](crate::worker) and `docs/DISTRIBUTION.md`).
 //!
-//! Both run the identical per-point retry loop ([`execute_point`]), so a
-//! point produces the same result and the same attempt count no matter
-//! where it runs — the property the committer turns into byte-identical
-//! journals.
+//! Backends are plain transports: each runs every dispatch exactly once,
+//! through the shared panic-isolating [`run_isolated`], and reports what
+//! happened. Whether a point runs again — a transient retry, a
+//! raised-budget re-run, a re-dispatch after a lost executor, a hedge, a
+//! quarantine — is decided by the sweep supervisor alone, so a point gets
+//! the same result and the same attempt count wherever it runs: the
+//! property the committer turns into byte-identical journals.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wormsim::stats::{ConfidenceInterval, ConvergenceStatus};
-use wormsim::verify::TriageVerdict;
 use wormsim::{CancelToken, Experiment, ExperimentError, PanicInfo, RunOutcome, RunResult};
 
-/// One schedulable sweep point: the experiment plus the orchestration
-/// context a backend needs to run it faithfully anywhere.
+/// One dispatch of a sweep point: the experiment exactly as it should
+/// run (attempt number and any raised budget already stamped on it).
 #[derive(Clone, Debug)]
 pub struct PointJob {
     /// The fully configured experiment (simulation settings only matter on
@@ -36,16 +37,8 @@ pub struct PointJob {
     /// Index in the sweep's deterministic order (provenance and the panic
     /// injection hook; the journal is keyed by hash, not index).
     pub index: usize,
-    /// The point's stable configuration digest
-    /// ([`Experiment::point_hash`]).
-    pub point_hash: String,
-    /// Extra attempts for transient outcomes (budget trips, panics).
-    pub retries: u32,
-    /// Test hook: panic inside the executor on every attempt.
+    /// Test hook: panic inside the executor instead of running.
     pub inject_panic: bool,
-    /// Journal path this sweep resumed from, if any (provenance, surfaced
-    /// in run manifests).
-    pub resumed_from: Option<String>,
 }
 
 /// A backend's receipt for a submitted job; pass it back to
@@ -56,19 +49,20 @@ pub struct WorkHandle(pub(crate) u64);
 /// What [`WorkerBackend::poll`] reports for a handle.
 #[derive(Debug)]
 pub enum PointStatus {
-    /// Still queued or running.
-    Pending,
-    /// Finished: the point's outcome and the attempts it consumed.
-    Done {
-        /// The run result, or the configuration error that rejected it.
-        result: Result<RunResult, ExperimentError>,
-        /// Attempts consumed (1 = first try).
-        attempts: u64,
-        /// What the triage-aware retry policy decided for this point, if
-        /// it engaged at all (see [`execute_point`]). Deterministic, so it
-        /// journals identically on every backend.
-        retry_decision: Option<String>,
+    /// Still queued or running. `heartbeat` is the engine's cycle counter
+    /// (offset by one) when the backend can observe per-job progress, so
+    /// the supervisor can tell a hung executor from a slow one; the local
+    /// pool shares one token across jobs and reports `None`.
+    Pending {
+        /// Last observed simulation heartbeat, if any.
+        heartbeat: Option<u64>,
     },
+    /// Finished: the run result, or the configuration error that
+    /// rejected it. A `Done` status is consumed.
+    Done(Result<RunResult, ExperimentError>),
+    /// The executor was lost (a dead or garbling worker) and the job
+    /// with it. The handle is released; the point has not run.
+    Lost(BackendError),
 }
 
 /// A backend infrastructure failure: the *machinery* (a worker process, a
@@ -90,9 +84,10 @@ impl fmt::Display for BackendError {
 impl std::error::Error for BackendError {}
 
 /// Which backend a sweep runs on (`--backend local|remote`).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum BackendChoice {
     /// In-process thread pool (the default).
+    #[default]
     Local,
     /// HTTP submit/poll against `wormsim-worker` processes.
     Remote {
@@ -101,14 +96,9 @@ pub enum BackendChoice {
     },
 }
 
-impl Default for BackendChoice {
-    fn default() -> Self {
-        BackendChoice::Local
-    }
-}
-
 /// Where sweep points execute. Submit up to [`capacity`] jobs, poll their
-/// handles until every one reports [`PointStatus::Done`].
+/// handles until each reports [`PointStatus::Done`] or
+/// [`PointStatus::Lost`].
 ///
 /// [`capacity`]: WorkerBackend::capacity
 pub trait WorkerBackend {
@@ -116,21 +106,17 @@ pub trait WorkerBackend {
     ///
     /// # Errors
     ///
-    /// Backend infrastructure failures (e.g. a worker RPC that exhausted
-    /// its retries). Point-level failures are never `Err` here — they
-    /// surface through [`PointStatus::Done`].
+    /// When no executor with a free slot accepted the job. Point-level
+    /// failures are never `Err` here — they surface through
+    /// [`PointStatus::Done`].
     fn submit(&mut self, job: PointJob) -> Result<WorkHandle, BackendError>;
 
-    /// Reports the current status of a submitted job. A `Done` status is
-    /// consumed: polling the same handle again is unspecified.
-    ///
-    /// # Errors
-    ///
-    /// Backend infrastructure failures, as for [`submit`](Self::submit).
-    fn poll(&mut self, handle: WorkHandle) -> Result<PointStatus, BackendError>;
+    /// Reports the current status of a submitted job. `Done` and `Lost`
+    /// release the handle: polling it again is unspecified.
+    fn poll(&mut self, handle: WorkHandle) -> PointStatus;
 
     /// How many jobs the backend can usefully hold in flight. The
-    /// orchestrator keeps at most this many submitted-but-unfinished jobs.
+    /// supervisor keeps at most this many submitted-but-unfinished jobs.
     fn capacity(&self) -> usize;
 
     /// Best-effort cancellation broadcast: make in-flight points stop at
@@ -143,62 +129,18 @@ pub trait WorkerBackend {
         Duration::from_millis(2)
     }
 
-    /// The last progress heartbeat observed for a pending job (the
-    /// engine's cycle counter, offset by one), or `None` when the backend
-    /// cannot observe per-job progress (the local pool shares one token
-    /// across jobs, so it reports nothing). The supervisor uses a frozen
-    /// heartbeat to tell a *hung* executor from a slow one.
-    fn heartbeat(&mut self, _handle: WorkHandle) -> Option<u64> {
-        None
+    /// Declares a pending job's executor lost (its heartbeat froze past
+    /// the point deadline) and releases the handle. A remote pool stops
+    /// using that worker; the local pool cannot interrupt a hung thread,
+    /// so it only forgets the job.
+    fn write_off(&mut self, handle: WorkHandle) {
+        self.forget(handle);
     }
 
-    /// How many executors this job has been dispatched to so far (1 for a
-    /// job still on its first executor), plus the most recent reason a
-    /// dispatch was lost. The supervisor quarantines a point whose
-    /// dispatch count keeps growing — a poison point that kills every
-    /// worker it lands on.
-    fn dispatch_history(&self, _handle: WorkHandle) -> (u64, Option<String>) {
-        (1, None)
-    }
-
-    /// Declares a pending job's current executor lost (typically: its
-    /// heartbeat froze past the supervisor's deadline). A remote pool
-    /// writes the worker off and re-dispatches the job to a survivor on
-    /// the next poll; the local pool cannot interrupt a hung thread and
-    /// ignores the call.
-    fn write_off(&mut self, _handle: WorkHandle) {}
-
-    /// Abandons a job entirely: the backend forgets the handle and
-    /// discards any result it may still produce. Used to drop the losing
-    /// duplicates of a hedged point and to stop re-dispatching a
-    /// quarantined one. Polling a forgotten handle reports `Pending`
-    /// forever.
-    fn forget(&mut self, _handle: WorkHandle) {}
-}
-
-/// Seed-jittered backoff before retry `attempt` of the point with digest
-/// `point_hash`: exponential base so repeated transients spread out, plus
-/// a per-point jitter so a thundering herd of failed points does not
-/// retry in lockstep. Deterministic in (hash, attempt) — no wall clock,
-/// no global RNG.
-pub(crate) fn backoff_ms(point_hash: &str, attempt: u64) -> u64 {
-    let digest = wormsim::observe::fnv1a_hex(&format!("{point_hash}:retry:{attempt}"));
-    let jitter = u64::from_str_radix(&digest[..4], 16).unwrap_or(0) % 64;
-    (25u64 << attempt.min(5)) + jitter
-}
-
-/// Sleeps up to `ms` milliseconds, returning early (within ~10ms) once
-/// `cancel` trips — so a SIGINT during retry backoff stops the worker at
-/// once instead of waiting out the full exponential delay.
-pub(crate) fn cancellable_sleep(ms: u64, cancel: &CancelToken) {
-    let deadline = Instant::now() + Duration::from_millis(ms);
-    while !cancel.is_cancelled() {
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
-    }
+    /// Abandons a job: the backend releases the handle and discards any
+    /// result it may still produce. Used to drop the losing copies of a
+    /// hedged point.
+    fn forget(&mut self, handle: WorkHandle);
 }
 
 /// Renders a worker panic into a placeholder [`RunResult`] carrying
@@ -239,113 +181,19 @@ fn panic_result(experiment: &Experiment, payload: &(dyn std::any::Any + Send)) -
     }
 }
 
-/// Budget multiplier for the final attempt of a `budget_artifact` retry
-/// chain: the re-run gets this many times the configured cycle budget, so
-/// a stall the triage blamed on a tight budget has real headroom to
-/// finish instead of deterministically reproducing itself.
-pub(crate) const RAISED_BUDGET_FACTOR: u64 = 4;
-
-/// Retry decision recorded when a stalled point was triaged
-/// `confirmed_unsafe`: the stall is a validated circular wait, retrying
-/// is deterministic futility, the result journals as-is.
-pub(crate) const DECISION_CONFIRMED_UNSAFE: &str = "confirmed_unsafe_no_retry";
-/// Retry decision recorded when a `budget_artifact` stall triggered a
-/// retry (the final attempt ran with [`RAISED_BUDGET_FACTOR`]× budget).
-pub(crate) const DECISION_BUDGET_RETRIED: &str = "budget_artifact_retried";
-/// Retry decision recorded when a `budget_artifact` stall could not be
-/// retried: either the retry budget was already spent or the experiment
-/// has no cycle budget to raise (re-running the identical configuration
-/// would reproduce the identical stall).
-pub(crate) const DECISION_BUDGET_NO_RETRY: &str = "budget_artifact_not_retried";
-
-/// The stall triage of a run result, when the run stalled at all.
-fn stall_verdict(result: &Result<RunResult, ExperimentError>) -> Option<TriageVerdict> {
-    match result {
-        Ok(r) if matches!(r.outcome, RunOutcome::Deadlocked | RunOutcome::LiveLocked) => {
-            r.triage.as_ref().map(|t| t.verdict)
+/// Runs one dispatch, once, with panic isolation — the executor step both
+/// backends share. A panic becomes a [`RunOutcome::Harness`] result.
+pub(crate) fn run_isolated(job: &PointJob) -> Result<RunResult, ExperimentError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if job.inject_panic {
+            panic!("injected harness panic at point {}", job.index);
         }
-        _ => None,
-    }
+        job.experiment.run()
+    }))
+    .unwrap_or_else(|payload| Ok(panic_result(&job.experiment, payload.as_ref())))
 }
 
-/// Runs one point with panic isolation and bounded retries — the single
-/// executor both backends share. Panics become [`RunOutcome::Harness`]
-/// results; transient outcomes (budget trips, panics) retry up to
-/// `job.retries` extra times with seed-jittered, cancellation-aware
-/// backoff, reusing the identical simulation seed. Configuration errors
-/// never retry — they are deterministic.
-///
-/// Stalled runs go through the triage-aware policy: a stall triaged
-/// `confirmed_unsafe` (a validated circular wait) is **never** retried —
-/// it is deterministic, and re-running it would only burn budget to
-/// reproduce the same deadlock. A stall triaged `budget_artifact` *is*
-/// retry-eligible when the experiment has a cycle budget to raise: the
-/// final attempt of such a chain runs with [`RAISED_BUDGET_FACTOR`]× the
-/// configured budget, giving a congestion-starved run real headroom.
-/// The decision taken is returned alongside the result so the journal
-/// records it; everything here is deterministic in the job alone, so
-/// local and remote executions decide (and journal) identically.
-///
-/// Returns the final result, the attempts consumed, and the retry
-/// decision (when the stall policy engaged).
-pub(crate) fn execute_point(
-    job: &PointJob,
-    cancel: &CancelToken,
-) -> (Result<RunResult, ExperimentError>, u64, Option<String>) {
-    let max_attempts = u64::from(job.retries).saturating_add(1);
-    let raisable_budget = job.experiment.cycle_budget_value();
-    let mut attempt = 1u64;
-    let mut budget_retry_engaged = false;
-    loop {
-        let mut attempt_experiment = job
-            .experiment
-            .clone()
-            .attempt(attempt as u32)
-            .resumed_from(job.resumed_from.clone());
-        if budget_retry_engaged && attempt == max_attempts {
-            if let Some(budget) = raisable_budget {
-                attempt_experiment = attempt_experiment
-                    .cycle_budget(Some(budget.saturating_mul(RAISED_BUDGET_FACTOR)));
-            }
-        }
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if job.inject_panic {
-                panic!("injected harness panic at point {}", job.index);
-            }
-            attempt_experiment.run()
-        }));
-        let result = match run {
-            Ok(inner) => inner,
-            Err(payload) => Ok(panic_result(&job.experiment, payload.as_ref())),
-        };
-        let transient = matches!(&result, Ok(r) if r.outcome.is_transient());
-        let stall = stall_verdict(&result);
-        // Only a budget-artifact stall with a budget to raise is worth a
-        // deterministic re-run; confirmed-unsafe stalls never retry.
-        let stall_retryable =
-            stall == Some(TriageVerdict::BudgetArtifact) && raisable_budget.is_some();
-        if (transient || stall_retryable) && attempt < max_attempts && !cancel.is_cancelled() {
-            if stall_retryable {
-                budget_retry_engaged = true;
-            }
-            cancellable_sleep(backoff_ms(&job.point_hash, attempt), cancel);
-            attempt += 1;
-            continue;
-        }
-        let decision = match stall {
-            Some(TriageVerdict::ConfirmedUnsafe) => Some(DECISION_CONFIRMED_UNSAFE.to_owned()),
-            Some(TriageVerdict::BudgetArtifact) if budget_retry_engaged => {
-                Some(DECISION_BUDGET_RETRIED.to_owned())
-            }
-            Some(TriageVerdict::BudgetArtifact) => Some(DECISION_BUDGET_NO_RETRY.to_owned()),
-            None if budget_retry_engaged => Some(DECISION_BUDGET_RETRIED.to_owned()),
-            None => None,
-        };
-        return (result, attempt, decision);
-    }
-}
-
-type Finished = (Result<RunResult, ExperimentError>, u64, Option<String>);
+type Finished = Result<RunResult, ExperimentError>;
 
 struct LocalState {
     queue: VecDeque<(u64, PointJob)>,
@@ -359,9 +207,8 @@ struct Shared {
 }
 
 /// The in-process backend: a fixed pool of OS threads draining a shared
-/// job queue. Jobs run under [`execute_point`] with the sweep's shutdown
-/// token attached, so SIGINT interrupts in-flight points at their next
-/// sampling boundary exactly as the pre-backend orchestrator did.
+/// job queue. Jobs run with the sweep's shutdown token attached, so
+/// SIGINT interrupts in-flight points at their next sampling boundary.
 pub struct LocalThreadBackend {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -384,7 +231,6 @@ impl LocalThreadBackend {
         let workers = (0..threads.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let shutdown = shutdown.clone();
                 std::thread::spawn(move || loop {
                     let job = {
                         let mut state = shared.state.lock().expect("no poisoned backend state");
@@ -399,7 +245,7 @@ impl LocalThreadBackend {
                         }
                     };
                     let (id, job) = job;
-                    let finished = execute_point(&job, &shutdown);
+                    let finished = run_isolated(&job);
                     shared
                         .state
                         .lock()
@@ -436,15 +282,11 @@ impl WorkerBackend for LocalThreadBackend {
         Ok(WorkHandle(id))
     }
 
-    fn poll(&mut self, handle: WorkHandle) -> Result<PointStatus, BackendError> {
+    fn poll(&mut self, handle: WorkHandle) -> PointStatus {
         let mut state = self.shared.state.lock().expect("no poisoned backend state");
         match state.done.remove(&handle.0) {
-            Some((result, attempts, retry_decision)) => Ok(PointStatus::Done {
-                result,
-                attempts,
-                retry_decision,
-            }),
-            None => Ok(PointStatus::Pending),
+            Some(result) => PointStatus::Done(result),
+            None => PointStatus::Pending { heartbeat: None },
         }
     }
 
@@ -474,22 +316,17 @@ impl Drop for LocalThreadBackend {
             .lock()
             .expect("no poisoned backend state")
             .quit = true;
-        self.ready_all();
+        self.shared.ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
 }
 
-impl LocalThreadBackend {
-    fn ready_all(&self) {
-        self.shared.ready.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
     use wormsim::topology::Topology;
     use wormsim::AlgorithmKind;
 
@@ -499,12 +336,24 @@ mod tests {
             .quick()
             .seed(5);
         PointJob {
-            point_hash: experiment.point_hash(),
             experiment,
             index,
-            retries: 0,
             inject_panic: false,
-            resumed_from: None,
+        }
+    }
+
+    fn wait_done(backend: &mut LocalThreadBackend, handle: WorkHandle) -> Finished {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            assert!(Instant::now() < deadline, "backend hung");
+            match backend.poll(handle) {
+                PointStatus::Pending { heartbeat } => {
+                    assert_eq!(heartbeat, None, "the local pool reports no heartbeats");
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                PointStatus::Done(result) => return result,
+                PointStatus::Lost(cause) => panic!("the local pool never loses a job: {cause}"),
+            }
         }
     }
 
@@ -515,89 +364,26 @@ mod tests {
         let handles: Vec<WorkHandle> = (0..3)
             .map(|i| backend.submit(tiny_job(i)).unwrap())
             .collect();
-        let mut done = 0;
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let mut pending: Vec<WorkHandle> = handles;
-        while !pending.is_empty() {
-            assert!(Instant::now() < deadline, "backend hung");
-            pending.retain(
-                |&h| match backend.poll(h).expect("local poll never errors") {
-                    PointStatus::Pending => true,
-                    PointStatus::Done {
-                        result,
-                        attempts,
-                        retry_decision,
-                    } => {
-                        assert_eq!(attempts, 1);
-                        assert_eq!(retry_decision, None);
-                        let r = result.expect("valid config");
-                        assert!(r.outcome.has_statistics());
-                        done += 1;
-                        false
-                    }
-                },
-            );
-            std::thread::sleep(Duration::from_millis(2));
+        for handle in handles {
+            let r = wait_done(&mut backend, handle).expect("valid config");
+            assert!(r.outcome.has_statistics());
         }
-        assert_eq!(done, 3);
     }
 
     #[test]
-    fn injected_panic_is_contained_and_retried() {
+    fn injected_panic_is_contained_and_run_once() {
         let mut backend = LocalThreadBackend::new(1, CancelToken::new());
         let mut job = tiny_job(7);
         job.inject_panic = true;
-        job.retries = 2;
         let handle = backend.submit(job).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            assert!(Instant::now() < deadline, "backend hung");
-            match backend.poll(handle).unwrap() {
-                PointStatus::Pending => std::thread::sleep(Duration::from_millis(5)),
-                PointStatus::Done {
-                    result, attempts, ..
-                } => {
-                    assert_eq!(attempts, 3, "1 try + 2 retries");
-                    let r = result.expect("panic becomes a Harness result");
-                    let RunOutcome::Harness(info) = &r.outcome else {
-                        panic!("expected Harness outcome, got {:?}", r.outcome);
-                    };
-                    assert!(info.message.contains("point 7"), "got: {}", info.message);
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn backoff_sleep_returns_early_on_cancel() {
-        let token = CancelToken::new();
-        let tripper = token.clone();
-        let start = Instant::now();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            tripper.cancel();
-        });
-        cancellable_sleep(10_000, &token);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "sleep must not wait out the full 10s backoff"
-        );
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let a = backoff_ms("abc123", 1);
-        assert_eq!(a, backoff_ms("abc123", 1), "same inputs, same backoff");
-        assert_ne!(
-            backoff_ms("abc123", 1),
-            backoff_ms("def456", 1),
-            "different points jitter differently"
-        );
-        for attempt in 1..=10 {
-            let ms = backoff_ms("abc123", attempt);
-            assert!((25..=25 * 32 + 63).contains(&(ms as usize)), "got {ms}");
-        }
+        let r = wait_done(&mut backend, handle).expect("panic becomes a Harness result");
+        let RunOutcome::Harness(info) = &r.outcome else {
+            panic!("expected Harness outcome, got {:?}", r.outcome);
+        };
+        assert!(info.message.contains("point 7"), "got: {}", info.message);
+        // The executor does not retry: the handle is consumed, and the
+        // pool is free for the next job at once.
+        let next = backend.submit(tiny_job(8)).unwrap();
+        assert!(wait_done(&mut backend, next).is_ok());
     }
 }

@@ -6,10 +6,10 @@
 //!
 //! The harness is crash-safe: every completed point is checkpointed to a
 //! [`Journal`] (atomic JSONL, keyed by the point's configuration digest),
-//! worker panics are contained to the point that raised them, transient
-//! outcomes retry with seed-jittered backoff, and SIGINT drains in-flight
-//! points before flushing partial results and printing a ready-to-paste
-//! resume command. See `docs/ROBUSTNESS.md`.
+//! worker panics are contained to the point that raised them, the sweep
+//! supervisor re-runs transient outcomes after a seed-jittered backoff,
+//! and SIGINT drains in-flight points before flushing partial results and
+//! printing a ready-to-paste resume command. See `docs/ROBUSTNESS.md`.
 //!
 //! Execution is pluggable behind the [`WorkerBackend`] trait: the default
 //! [`LocalThreadBackend`] runs points on an in-process pool, while
@@ -28,7 +28,7 @@ use wormsim::presets::FigureSpec;
 use wormsim::topology::Topology;
 use wormsim::{
     format_results_table, format_sweep_csv, CancelToken, Experiment, ExperimentError,
-    MeasurementSchedule, ObserveConfig, RunOutcome, RunResult,
+    MeasurementSchedule, ObserveConfig, RunResult,
 };
 
 mod backend;
@@ -53,7 +53,7 @@ pub use remote::RemoteBackend;
 pub use supervisor::{QuarantineRecord, SupervisionReport};
 
 use committer::Committer;
-use supervisor::{Event, SupervisePolicy, Supervisor};
+use supervisor::{Event, Supervisor};
 use wormsim::observe::JsonObject;
 
 /// The token the installed SIGINT handler trips. Process-global because a
@@ -140,9 +140,10 @@ pub struct SweepOptions {
     /// capacity once it has been in flight this long
     /// (`--hedge-after SECS`); `None` disables hedging.
     pub hedge_after_secs: Option<f64>,
-    /// Supervision: quarantine a point once it has burned this many
-    /// dispatches across workers (`--quarantine-after N`, default 3;
-    /// `0` disables quarantine and lets a poison point retry forever).
+    /// Supervision: quarantine a point once it has lost this many
+    /// dispatches to dead or hung workers (`--quarantine-after N`,
+    /// default 3; `0` disables quarantine and lets a poison point retry
+    /// forever).
     pub quarantine_after: u64,
     /// With `--resume`, accept a journal with corrupted mid-file lines
     /// (`--salvage`): every valid record is recovered, bad lines are
@@ -163,10 +164,6 @@ pub struct SweepOptions {
     /// defaults to the in-process pool.
     pub backend: BackendChoice,
 }
-
-/// The old name of [`SweepOptions`], kept for one release.
-#[deprecated(since = "0.9.0", note = "renamed to `SweepOptions`")]
-pub type HarnessOptions = SweepOptions;
 
 impl Default for SweepOptions {
     fn default() -> Self {
@@ -619,14 +616,15 @@ impl SweepPlan {
 /// Orchestrates a [`SweepPlan`] on the configured backend with the full
 /// robustness stack: journaled checkpoints (skipping points already
 /// recorded when `options.resume` is set), per-point panic isolation,
-/// bounded retries with backoff, and cooperative shutdown that drains
+/// supervised retries with backoff, and cooperative shutdown that drains
 /// in-flight points.
 ///
-/// Points are submitted to the backend up to its capacity and polled to
-/// completion; the deterministic committer appends finished points to the
-/// journal strictly in schedule order, with the machine-dependent wall
-/// fields canonicalized to zero — so the journal bytes are identical
-/// whether the sweep ran on one thread, sixteen, or two remote workers.
+/// The sweep supervisor submits points to the backend up to its capacity
+/// and polls them to completion, deciding every re-run; the deterministic
+/// committer appends finished points to the journal strictly in schedule
+/// order, with the machine-dependent wall fields canonicalized to zero —
+/// so the journal bytes are identical whether the sweep ran on one
+/// thread, sixteen, or two remote workers.
 ///
 /// # Errors
 ///
@@ -707,26 +705,18 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         }
     };
 
-    // Submission queue in schedule order; resumed points resolve as skips
+    // Points to run, in schedule order; resumed points resolve as skips
     // so they never block the committer's frontier.
     let mut to_submit: VecDeque<usize> = VecDeque::new();
-    for i in 0..total {
-        if slots[i].is_some() {
+    for (i, slot) in slots.iter().enumerate() {
+        if slot.is_some() {
             committer.skip(i)?;
         } else {
             to_submit.push_back(i);
         }
     }
 
-    let mut supervisor = Supervisor::new(SupervisePolicy {
-        point_deadline: options
-            .point_deadline_secs
-            .map(std::time::Duration::from_secs_f64),
-        hedge_after: options
-            .hedge_after_secs
-            .map(std::time::Duration::from_secs_f64),
-        quarantine_after: options.quarantine_after,
-    });
+    let mut supervisor = Supervisor::new(experiments, &hashes, options, to_submit);
     let mut quarantined: Vec<QuarantineRecord> = Vec::new();
     let mut retry_decisions: std::collections::BTreeMap<String, u64> =
         std::collections::BTreeMap::new();
@@ -736,31 +726,11 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
     let started = std::time::Instant::now();
 
     loop {
-        while !aborted
-            && !options.shutdown.is_cancelled()
-            && supervisor.dispatched() < backend.capacity().max(1)
-        {
-            let Some(&i) = to_submit.front() else { break };
-            let job = PointJob {
-                experiment: experiments[i].clone(),
-                index: i,
-                point_hash: hashes[i].clone(),
-                retries: options.retries,
-                inject_panic: options.inject_panic == Some(i),
-                resumed_from: options.resume.clone(),
-            };
-            supervisor
-                .submit(backend.as_mut(), job)
-                .map_err(HarnessError::Backend)?;
-            to_submit.pop_front();
-        }
         if options.shutdown.is_cancelled() && !cancel_sent {
             backend.cancel();
             cancel_sent = true;
         }
-        if supervisor.is_idle()
-            && (to_submit.is_empty() || aborted || options.shutdown.is_cancelled())
-        {
+        if supervisor.is_idle() {
             break;
         }
         let events = supervisor
@@ -776,13 +746,6 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                     retry_decision,
                 } => {
                     match &result {
-                        Ok(r) if r.outcome == RunOutcome::Interrupted => {
-                            // Shutdown drained this point mid-run: its
-                            // partial statistics are not data. Leave the
-                            // slot empty so a resume re-runs it.
-                            committer.skip(i)?;
-                            continue;
-                        }
                         Ok(r) => {
                             let mut recorded = r.clone();
                             // The only machine-dependent bytes in a result;
@@ -808,6 +771,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                             committer.skip(i)?;
                             if plan.fail_fast {
                                 aborted = true;
+                                supervisor.halt();
                             }
                         }
                     }
@@ -830,7 +794,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                     // committer's frontier and carry on without it.
                     committer.skip(record.index)?;
                     eprintln!(
-                        "\nquarantining point {} after {} dispatches: {}",
+                        "\nquarantining point {} after {} lost dispatches: {}",
                         record.index, record.dispatches, record.last_error
                     );
                     quarantined.push(record);
@@ -939,29 +903,6 @@ fn write_sidecar(path: &Path, text: &str) -> Result<(), HarnessError> {
     })
 }
 
-/// The pre-[`SweepPlan`] orchestrator entry point, kept for one release.
-///
-/// # Errors
-///
-/// As for [`run_sweep`].
-#[deprecated(
-    since = "0.9.0",
-    note = "build a `SweepPlan` and call `run_sweep` instead"
-)]
-pub fn run_experiments(
-    experiments: &[Experiment],
-    options: &SweepOptions,
-    journal_name: &str,
-    fail_fast: bool,
-) -> Result<ExperimentsRun, HarnessError> {
-    run_sweep(
-        &SweepPlan::new(experiments.to_vec())
-            .journal_name(journal_name)
-            .fail_fast(fail_fast),
-        options,
-    )
-}
-
 /// Applies the `--topo` override (if any) to a figure spec: retargets the
 /// network, remaps topology-dependent traffic (see
 /// [`FigureSpec::with_topology`]), and drops algorithms the new topology
@@ -1004,7 +945,7 @@ pub fn apply_topology_override(spec: FigureSpec, options: &SweepOptions) -> Figu
 /// unclaimed points are cancelled (points already running finish but their
 /// results are dropped). Journal failures surface as
 /// [`HarnessError::Journal`]. Worker panics do not fail the sweep — they
-/// are recorded per point as [`RunOutcome::Harness`].
+/// are recorded per point as [`wormsim::RunOutcome::Harness`].
 pub fn run_figure(spec: &FigureSpec, options: &SweepOptions) -> Result<FigureRun, HarnessError> {
     let mut experiments = wormsim::presets::experiments_for(spec, options.schedule, options.seed);
     if options.observe_dir.is_some() || options.trace_dir.is_some() {
@@ -1139,7 +1080,7 @@ pub fn run_figure_or_exit(spec: &FigureSpec, options: &SweepOptions) -> Vec<RunR
             );
             for record in &quarantined {
                 eprintln!(
-                    "  point {} after {} dispatches: {}",
+                    "  point {} after {} lost dispatches: {}",
                     record.index, record.dispatches, record.last_error
                 );
             }
@@ -1299,7 +1240,7 @@ pub fn latency_at(results: &[RunResult], algorithm: &str, load: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormsim::presets;
+    use wormsim::{presets, RunOutcome};
 
     fn parse(args: &[&str]) -> Result<SweepOptions, String> {
         SweepOptions::parse(args.iter().map(|s| (*s).to_owned()))
@@ -1472,20 +1413,6 @@ mod tests {
         let error = run_sweep(&SweepPlan::new(Vec::new()).journal_name("a/b"), &options)
             .expect_err("bad plan must be rejected before any I/O");
         assert!(matches!(error, HarnessError::Plan { .. }), "{error}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_experiments_shim_delegates() {
-        let options = SweepOptions {
-            out_dir: temp_out_dir("shim"),
-            ..SweepOptions::default()
-        };
-        let run = run_experiments(&[], &options, "shim.journal.jsonl", true).unwrap();
-        assert!(run.outcomes.is_empty());
-        assert!(!run.interrupted);
-        assert!(run.journal.ends_with("shim.journal.jsonl"));
-        std::fs::remove_dir_all(&options.out_dir).ok();
     }
 
     fn temp_out_dir(name: &str) -> String {
@@ -1750,5 +1677,51 @@ mod tests {
         );
         std::fs::remove_dir_all(&local_dir).ok();
         std::fs::remove_dir_all(&remote_dir).ok();
+    }
+
+    #[test]
+    fn one_worker_serves_consecutive_sweeps() {
+        // A long-lived worker keeps every job id it ever handed out, and
+        // each sweep builds a fresh backend: the second sweep (a re-run or
+        // a resume) must not collide with the first one's jobs.
+        let experiments: Vec<Experiment> = [0.1, 0.2]
+            .iter()
+            .map(|&load| {
+                Experiment::new(Topology::torus(&[6, 6]), wormsim::AlgorithmKind::Ecube)
+                    .offered_load(load)
+                    .quick()
+                    .seed(1993)
+            })
+            .collect();
+        let plan = SweepPlan::new(experiments);
+        let local_dir = temp_out_dir("reuse-local");
+        let local = SweepOptions {
+            out_dir: local_dir.clone(),
+            threads: 2,
+            ..SweepOptions::default()
+        };
+        run_sweep(&plan, &local).expect("local sweep");
+        let local_bytes = std::fs::read(Path::new(&local_dir).join("sweep.journal.jsonl")).unwrap();
+        let worker = crate::worker::spawn_local(2);
+        for sweep in 0..2 {
+            let dir = temp_out_dir(&format!("reuse-remote-{sweep}"));
+            let remote = SweepOptions {
+                out_dir: dir.clone(),
+                backend: BackendChoice::Remote {
+                    workers: vec![worker.to_string()],
+                },
+                ..SweepOptions::default()
+            };
+            let run = run_sweep(&plan, &remote)
+                .unwrap_or_else(|e| panic!("sweep {sweep} on the shared worker: {e}"));
+            assert!(run.outcomes.iter().all(|o| matches!(o, Some(Ok(_)))));
+            let bytes = std::fs::read(Path::new(&dir).join("sweep.journal.jsonl")).unwrap();
+            assert_eq!(
+                local_bytes, bytes,
+                "sweep {sweep} must reproduce the local journal byte for byte"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&local_dir).ok();
     }
 }

@@ -4,22 +4,24 @@
 //! [`RemoteBackend::connect`] handshakes every worker up front and
 //! refuses any whose wire protocol or config digest disagrees with this
 //! binary — a mismatched worker would run the *wrong interpretation* of
-//! the same bytes, which is worse than a refusal. Each RPC gets the same
-//! bounded, seed-jittered retry treatment the simulator applies to
-//! transient points, plus socket timeouts, so one dropped packet does not
-//! kill an overnight sweep.
+//! the same bytes, which is worse than a refusal. Each RPC retries
+//! transient socket failures with seed-jittered backoff, under socket
+//! timeouts, so one dropped packet does not kill an overnight sweep.
 //!
-//! A worker that stays unreachable past those retries is treated as
-//! crashed: it is written off, its in-flight points are re-dispatched
-//! verbatim to the survivors, and the sweep continues at reduced
-//! capacity. Because results are bit-deterministic in the experiment
-//! config, a re-run point produces the identical bytes the lost worker
-//! would have — failover never perturbs the journal or the CSV. Only
-//! when *every* worker is gone does the failure surface as a
-//! [`BackendError`].
+//! The backend is a transport. A worker that stays unreachable past
+//! those RPC retries, or keeps sending garbled responses, is marked dead:
+//! it gets no further jobs, counts no capacity, and each of its in-flight
+//! jobs polls as [`PointStatus::Lost`]. Whether and where a lost point
+//! runs again is the sweep supervisor's decision. Only when *every*
+//! worker is gone does a submit fail with a [`BackendError`].
+//!
+//! Job ids are assigned by the worker (its `/submit` reply), so one
+//! long-lived worker serves any number of sweeps, resumes and
+//! orchestrators.
 
-use crate::backend::{backoff_ms, BackendError, PointJob, PointStatus, WorkHandle, WorkerBackend};
+use crate::backend::{BackendError, PointJob, PointStatus, WorkHandle, WorkerBackend};
 use crate::http;
+use crate::supervisor::backoff_ms;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -32,8 +34,9 @@ use wormsim::{wire_digest, Experiment, ExperimentError, RunResult, WIRE_PROTOCOL
 const RPC_TIMEOUT: Duration = Duration::from_secs(10);
 /// Transport attempts per RPC before the backend gives up on a worker.
 const RPC_ATTEMPTS: u64 = 3;
-/// Malformed (garbled) status bodies tolerated per dispatch before the
-/// worker is treated as lost. A single corrupted response — a flaky NIC,
+/// Malformed (garbled) response bodies tolerated in a row — per job for
+/// status polls, per submit for submit replies — before the worker is
+/// treated as lost. A single corrupted response — a flaky NIC,
 /// a chaos injection — should not cost a worker; a stream of them means
 /// the process on the other side is not speaking the protocol anymore.
 const GARBLE_STRIKES: u32 = 3;
@@ -64,22 +67,13 @@ struct Worker {
 
 struct InFlight {
     worker: usize,
-    /// The complete job, kept for two reasons: a worker-side
-    /// configuration failure is re-derived as a structured
-    /// [`ExperimentError`] locally (validation is deterministic in the
-    /// experiment alone), and a crashed worker's in-flight points are
-    /// re-dispatched verbatim to a survivor.
-    job: PointJob,
-    /// Times this job has been dispatched (1 = original submit; each
-    /// failover re-dispatch increments). The supervisor's poison-point
-    /// quarantine reads this via `dispatch_history`.
-    dispatches: u64,
-    /// The infrastructure error behind the latest re-dispatch.
-    last_error: Option<String>,
-    /// Simulation heartbeat last reported by a pending `/status` poll;
-    /// the supervisor compares successive values to detect hung workers.
-    beat: Option<u64>,
-    /// Consecutive garbled status bodies from the current worker.
+    /// The worker's id for the job, from its `/submit` reply.
+    job: u64,
+    /// Kept so a worker-side configuration failure is re-derived as a
+    /// structured [`ExperimentError`] locally (validation is
+    /// deterministic in the experiment alone).
+    experiment: Experiment,
+    /// Consecutive garbled status bodies.
     garbles: u32,
 }
 
@@ -97,7 +91,7 @@ enum SendError {
 pub struct RemoteBackend {
     workers: Vec<Worker>,
     jobs: HashMap<u64, InFlight>,
-    next_id: u64,
+    next_handle: u64,
     digest: String,
 }
 
@@ -201,7 +195,7 @@ impl RemoteBackend {
         Ok(RemoteBackend {
             workers,
             jobs: HashMap::new(),
-            next_id: 0,
+            next_handle: 0,
             digest,
         })
     }
@@ -220,129 +214,83 @@ impl RemoteBackend {
     }
 
     /// Writes a worker off (idempotent): no further jobs, no capacity.
-    /// Its in-flight accounting is zeroed — every point it was running is
-    /// re-dispatched as its handle gets polled.
+    /// Its in-flight accounting is zeroed; each of its jobs polls as lost.
     fn mark_dead(&mut self, slot: usize, cause: &BackendError) {
         if !self.workers[slot].dead {
             self.workers[slot].dead = true;
             self.workers[slot].in_flight = 0;
             eprintln!(
-                "worker {} lost ({}); re-dispatching its in-flight points to the survivors",
+                "worker {} lost ({}); sending it no further jobs",
                 self.workers[slot].addr, cause.message
             );
         }
     }
 
-    /// The next submit target among live, non-draining workers: the one
-    /// with the most free slots (ties go to the first index), so
-    /// heterogeneous workers drain proportionally instead of the first
-    /// address soaking up every job. When `oversubscribe` (failover
-    /// re-dispatch, where the dead worker's points can exceed the
-    /// survivors' free slots), falls back to the least-loaded live
-    /// worker. `None` when every worker is dead or draining (or, strict
-    /// case, merely full).
-    fn pick_live(&self, oversubscribe: bool) -> Option<usize> {
-        let free = self
-            .workers
+    fn mark_draining(&mut self, slot: usize) {
+        if !self.workers[slot].draining {
+            self.workers[slot].draining = true;
+            eprintln!(
+                "worker {} is draining; sending no further jobs",
+                self.workers[slot].addr
+            );
+        }
+    }
+
+    /// The next submit target among live, non-draining workers with a
+    /// free slot: the one with the most free slots (ties go to the first
+    /// index), so heterogeneous workers drain proportionally instead of
+    /// the first address soaking up every job.
+    fn pick_live(&self) -> Option<usize> {
+        self.workers
             .iter()
             .enumerate()
             .filter(|(_, w)| !w.dead && !w.draining && w.in_flight < w.slots)
             .max_by_key(|(i, w)| (w.slots - w.in_flight, self.workers.len() - i))
-            .map(|(i, _)| i);
-        if free.is_some() || !oversubscribe {
-            return free;
-        }
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !w.dead && !w.draining)
-            .min_by_key(|(_, w)| w.in_flight)
             .map(|(i, _)| i)
     }
 
-    /// POSTs one job to one worker; counts it in flight on success.
-    fn send_job(&mut self, slot: usize, id: u64, job: &PointJob) -> Result<(), SendError> {
+    /// POSTs one job to one worker; counts it in flight and returns the
+    /// worker's job id on success.
+    ///
+    /// A garbled reply hides the id of a job the worker may well have
+    /// accepted; that copy runs unpolled, and the submit is sent again,
+    /// up to [`GARBLE_STRIKES`] times.
+    fn send_job(&mut self, slot: usize, job: &PointJob) -> Result<u64, SendError> {
         let mut body = String::new();
         let mut obj = JsonObject::begin(&mut body);
         obj.field_str("digest", &self.digest);
-        obj.field_u64("job", id);
-        obj.field_u64("retries", u64::from(job.retries));
-        match &job.resumed_from {
-            Some(journal) => obj.field_str("resumed_from", journal),
-            None => obj.field_raw("resumed_from", "null"),
-        };
         obj.field_raw("experiment", &job.experiment.to_wire_json());
         obj.finish();
         let addr = self.workers[slot].addr.clone();
-        let (status, response) = rpc(&addr, "POST", "/submit", &body).map_err(SendError::Failed)?;
-        if status == 503 {
-            // The worker is shutting down gracefully: no new jobs, but
-            // everything it already has will finish. Retire it from the
-            // pool without the failover fanfare.
-            if !self.workers[slot].draining {
-                self.workers[slot].draining = true;
-                eprintln!(
-                    "worker {} is draining; sending no further jobs",
-                    self.workers[slot].addr
-                );
+        let mut garbled = String::new();
+        for _ in 0..GARBLE_STRIKES {
+            let (status, response) =
+                rpc(&addr, "POST", "/submit", &body).map_err(SendError::Failed)?;
+            if status == 503 {
+                // The worker is shutting down gracefully: no new jobs, but
+                // everything it already has will finish.
+                self.mark_draining(slot);
+                return Err(SendError::Draining);
             }
-            return Err(SendError::Draining);
-        }
-        if status != 200 {
-            return Err(SendError::Failed(BackendError {
-                worker: addr,
-                message: format!("submit returned HTTP {status}: {response}"),
-            }));
-        }
-        self.workers[slot].in_flight += 1;
-        Ok(())
-    }
-
-    /// Re-dispatches one in-flight job after its worker failed: mark the
-    /// worker dead, resubmit the job verbatim to a survivor, report the
-    /// point as still pending. Only when *no* worker survives does the
-    /// infrastructure failure reach the orchestrator.
-    ///
-    /// If the "dead" worker was merely slow and finishes its copy anyway,
-    /// nothing diverges: results are bit-deterministic in the experiment,
-    /// so the copies are identical and only the re-dispatched one is ever
-    /// polled.
-    fn fail_over(&mut self, id: u64, mut cause: BackendError) -> Result<PointStatus, BackendError> {
-        let slot = self
-            .jobs
-            .get(&id)
-            .expect("caller verified the handle")
-            .worker;
-        self.mark_dead(slot, &cause);
-        let job = self
-            .jobs
-            .get(&id)
-            .expect("caller verified the handle")
-            .job
-            .clone();
-        loop {
-            let Some(target) = self.pick_live(true) else {
-                return Err(cause);
-            };
-            match self.send_job(target, id, &job) {
-                Ok(()) => {
-                    let in_flight = self.jobs.get_mut(&id).expect("caller verified the handle");
-                    in_flight.worker = target;
-                    in_flight.dispatches += 1;
-                    in_flight.last_error = Some(cause.message.clone());
-                    in_flight.beat = None;
-                    in_flight.garbles = 0;
-                    return Ok(PointStatus::Pending);
-                }
-                Err(SendError::Draining) => {
-                    // Marked draining inside send_job; try the next one.
-                }
-                Err(SendError::Failed(err)) => {
-                    self.mark_dead(target, &err);
-                    cause = err;
-                }
+            if status != 200 {
+                return Err(SendError::Failed(BackendError {
+                    worker: addr,
+                    message: format!("submit returned HTTP {status}: {response}"),
+                }));
             }
+            let id = json::from_str(&response)
+                .ok()
+                .and_then(|value| value.get("job").and_then(json::Value::as_u64));
+            if let Some(id) = id {
+                self.workers[slot].in_flight += 1;
+                return Ok(id);
+            }
+            garbled = response;
         }
+        Err(SendError::Failed(BackendError {
+            worker: addr,
+            message: format!("{GARBLE_STRIKES} garbled submit responses; last: {garbled}"),
+        }))
     }
 }
 
@@ -354,27 +302,13 @@ enum StatusBody {
         heartbeat: Option<u64>,
         draining: bool,
     },
-    Done {
-        result: RunResult,
-        attempts: u64,
-        retry_decision: Option<String>,
-    },
-    Failed {
-        message: String,
-        attempts: u64,
-    },
+    Done(RunResult),
+    Failed(String),
 }
 
 fn decode_status(body: &str) -> Result<StatusBody, String> {
     let value = json::from_str(body).map_err(|err| format!("unparseable response body: {err}"))?;
-    let state = value.get("state").and_then(|v| v.as_str()).unwrap_or("");
-    let attempts = || {
-        value
-            .get("attempts")
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| "status missing integer field `attempts`".to_owned())
-    };
-    match state {
+    match value.get("state").and_then(|v| v.as_str()).unwrap_or("") {
         "pending" => Ok(StatusBody::Pending {
             heartbeat: value.get("heartbeat").and_then(json::Value::as_u64),
             draining: value
@@ -386,165 +320,111 @@ fn decode_status(body: &str) -> Result<StatusBody, String> {
             let result_value = value
                 .get("result")
                 .ok_or_else(|| "done status missing `result`".to_owned())?;
-            let result = RunResult::from_json(result_value)
-                .map_err(|err| format!("undecodable result: {err}"))?;
-            Ok(StatusBody::Done {
-                result,
-                attempts: attempts()?,
-                retry_decision: value
-                    .get("retry_decision")
-                    .and_then(|v| v.as_str())
-                    .map(str::to_owned),
-            })
+            RunResult::from_json(result_value)
+                .map(StatusBody::Done)
+                .map_err(|err| format!("undecodable result: {err}"))
         }
-        "failed" => Ok(StatusBody::Failed {
-            message: value
+        "failed" => Ok(StatusBody::Failed(
+            value
                 .get("error")
                 .and_then(|v| v.as_str())
                 .unwrap_or("unspecified worker failure")
                 .to_owned(),
-            attempts: attempts()?,
-        }),
+        )),
         other => Err(format!("unknown job state {other:?} in: {body}")),
     }
 }
 
 impl WorkerBackend for RemoteBackend {
     fn submit(&mut self, job: PointJob) -> Result<WorkHandle, BackendError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        // A fresh submit insists on a free slot (the orchestrator sized
-        // its in-flight window by `capacity`); but once a worker dies
-        // mid-submit the pool has shrunk under the orchestrator's feet,
-        // so the retries may oversubscribe a survivor.
-        let mut oversubscribe = false;
         let mut cause = BackendError {
             worker: "<pool>".to_owned(),
-            message: "submit called with every worker slot occupied".to_owned(),
+            message: "no live worker has a free slot".to_owned(),
         };
-        loop {
-            let Some(slot) = self.pick_live(oversubscribe) else {
-                return Err(cause);
-            };
-            match self.send_job(slot, id, &job) {
-                Ok(()) => {
+        while let Some(slot) = self.pick_live() {
+            match self.send_job(slot, &job) {
+                Ok(id) => {
+                    let handle = self.next_handle;
+                    self.next_handle += 1;
                     self.jobs.insert(
-                        id,
+                        handle,
                         InFlight {
                             worker: slot,
-                            job,
-                            dispatches: 1,
-                            last_error: None,
-                            beat: None,
+                            job: id,
+                            experiment: job.experiment,
                             garbles: 0,
                         },
                     );
-                    return Ok(WorkHandle(id));
+                    return Ok(WorkHandle(handle));
                 }
-                Err(SendError::Draining) => {
-                    // Marked draining inside send_job; the next pick
-                    // skips it.
-                }
+                // Marked draining inside send_job; the next pick skips it.
+                Err(SendError::Draining) => {}
                 Err(SendError::Failed(err)) => {
                     self.mark_dead(slot, &err);
                     cause = err;
-                    oversubscribe = true;
                 }
             }
         }
+        Err(cause)
     }
 
-    fn poll(&mut self, handle: WorkHandle) -> Result<PointStatus, BackendError> {
-        let (slot, addr) = {
-            let in_flight = self.jobs.get(&handle.0).ok_or_else(|| BackendError {
+    fn poll(&mut self, handle: WorkHandle) -> PointStatus {
+        let Some(in_flight) = self.jobs.get_mut(&handle.0) else {
+            return PointStatus::Lost(BackendError {
                 worker: "<pool>".to_owned(),
                 message: format!("poll of unknown handle {}", handle.0),
-            })?;
-            (
-                in_flight.worker,
-                self.workers[in_flight.worker].addr.clone(),
-            )
+            });
         };
-        // The worker was already written off by an earlier failure (its
-        // own RPC, or another point's poll): re-dispatch without a doomed
-        // round-trip.
-        if self.workers[slot].dead {
-            let cause = BackendError {
-                worker: addr,
-                message: "worker is gone".to_owned(),
-            };
-            return self.fail_over(handle.0, cause);
-        }
-        let (status, body) = match rpc(&addr, "GET", &format!("/status?job={}", handle.0), "") {
-            Ok(response) => response,
-            Err(err) => return self.fail_over(handle.0, err),
+        let slot = in_flight.worker;
+        let addr = self.workers[slot].addr.clone();
+        let message = if self.workers[slot].dead {
+            // Written off by an earlier failure (its own RPC, or another
+            // job's poll): no doomed round-trip.
+            "worker is gone".to_owned()
+        } else {
+            match rpc(&addr, "GET", &format!("/status?job={}", in_flight.job), "") {
+                Err(err) => err.message,
+                Ok((200, body)) => match decode_status(&body) {
+                    Ok(StatusBody::Pending {
+                        heartbeat,
+                        draining,
+                    }) => {
+                        in_flight.garbles = 0;
+                        if draining {
+                            self.mark_draining(slot);
+                        }
+                        return PointStatus::Pending { heartbeat };
+                    }
+                    Ok(StatusBody::Done(result)) => {
+                        self.forget(handle);
+                        return PointStatus::Done(Ok(result));
+                    }
+                    Ok(StatusBody::Failed(message)) => {
+                        let err = Self::rederive_error(&in_flight.experiment, &message, &addr);
+                        self.forget(handle);
+                        return PointStatus::Done(Err(err));
+                    }
+                    Err(garble) => {
+                        // The transport delivered bytes, but not the
+                        // protocol's. Tolerate a few (the next poll asks
+                        // again) before treating the worker as lost.
+                        in_flight.garbles += 1;
+                        if in_flight.garbles < GARBLE_STRIKES {
+                            return PointStatus::Pending { heartbeat: None };
+                        }
+                        format!("{GARBLE_STRIKES} garbled status responses; last: {garble}")
+                    }
+                },
+                Ok((status, body)) => format!("status returned HTTP {status}: {body}"),
+            }
         };
-        if status != 200 {
-            let cause = BackendError {
-                worker: addr,
-                message: format!("status returned HTTP {status}: {body}"),
-            };
-            return self.fail_over(handle.0, cause);
-        }
-        match decode_status(&body) {
-            Err(garble) => {
-                // The transport delivered bytes, but not the protocol's.
-                // Tolerate a few (a corrupted response costs nothing —
-                // the next poll asks again) before treating the worker
-                // as lost.
-                let in_flight = self.jobs.get_mut(&handle.0).expect("handle checked above");
-                in_flight.garbles += 1;
-                if in_flight.garbles < GARBLE_STRIKES {
-                    return Ok(PointStatus::Pending);
-                }
-                let cause = BackendError {
-                    worker: addr,
-                    message: format!("{GARBLE_STRIKES} garbled status responses; last: {garble}"),
-                };
-                self.fail_over(handle.0, cause)
-            }
-            Ok(StatusBody::Pending {
-                heartbeat,
-                draining,
-            }) => {
-                let in_flight = self.jobs.get_mut(&handle.0).expect("handle checked above");
-                in_flight.garbles = 0;
-                if let Some(beat) = heartbeat {
-                    in_flight.beat = Some(beat);
-                }
-                if draining && !self.workers[slot].draining {
-                    self.workers[slot].draining = true;
-                    eprintln!("worker {addr} is draining; sending no further jobs");
-                }
-                Ok(PointStatus::Pending)
-            }
-            Ok(StatusBody::Done {
-                result,
-                attempts,
-                retry_decision,
-            }) => {
-                self.jobs.remove(&handle.0);
-                self.workers[slot].in_flight = self.workers[slot].in_flight.saturating_sub(1);
-                Ok(PointStatus::Done {
-                    result: Ok(result),
-                    attempts,
-                    retry_decision,
-                })
-            }
-            Ok(StatusBody::Failed { message, attempts }) => {
-                let in_flight = self.jobs.remove(&handle.0).expect("handle checked above");
-                self.workers[slot].in_flight = self.workers[slot].in_flight.saturating_sub(1);
-                Ok(PointStatus::Done {
-                    result: Err(Self::rederive_error(
-                        &in_flight.job.experiment,
-                        &message,
-                        &addr,
-                    )),
-                    attempts,
-                    retry_decision: None,
-                })
-            }
-        }
+        let cause = BackendError {
+            worker: addr,
+            message,
+        };
+        self.mark_dead(slot, &cause);
+        self.jobs.remove(&handle.0);
+        PointStatus::Lost(cause)
     }
 
     fn capacity(&self) -> usize {
@@ -569,25 +449,14 @@ impl WorkerBackend for RemoteBackend {
         Duration::from_millis(25)
     }
 
-    fn heartbeat(&mut self, handle: WorkHandle) -> Option<u64> {
-        self.jobs.get(&handle.0).and_then(|j| j.beat)
-    }
-
-    fn dispatch_history(&self, handle: WorkHandle) -> (u64, Option<String>) {
-        self.jobs
-            .get(&handle.0)
-            .map_or((1, None), |j| (j.dispatches, j.last_error.clone()))
-    }
-
     fn write_off(&mut self, handle: WorkHandle) {
-        let Some(slot) = self.jobs.get(&handle.0).map(|j| j.worker) else {
-            return;
-        };
-        let cause = BackendError {
-            worker: self.workers[slot].addr.clone(),
-            message: "written off by the supervisor: simulation heartbeat frozen".to_owned(),
-        };
-        self.mark_dead(slot, &cause);
+        if let Some(in_flight) = self.jobs.remove(&handle.0) {
+            let cause = BackendError {
+                worker: self.workers[in_flight.worker].addr.clone(),
+                message: "written off by the supervisor: simulation heartbeat frozen".to_owned(),
+            };
+            self.mark_dead(in_flight.worker, &cause);
+        }
     }
 
     fn forget(&mut self, handle: WorkHandle) {
@@ -610,27 +479,24 @@ mod tests {
 
     fn job_for(experiment: Experiment, index: usize) -> PointJob {
         PointJob {
-            point_hash: experiment.point_hash(),
             experiment,
             index,
-            retries: 1,
             inject_panic: false,
-            resumed_from: None,
         }
     }
 
-    fn wait_done(
+    /// Polls until the job resolves; `Err` carries a lost dispatch.
+    fn wait(
         backend: &mut RemoteBackend,
         handle: WorkHandle,
-    ) -> (Result<RunResult, ExperimentError>, u64) {
+    ) -> Result<Result<RunResult, ExperimentError>, BackendError> {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
             assert!(Instant::now() < deadline, "remote worker hung");
-            match backend.poll(handle).expect("poll") {
-                PointStatus::Pending => std::thread::sleep(Duration::from_millis(10)),
-                PointStatus::Done {
-                    result, attempts, ..
-                } => return (result, attempts),
+            match backend.poll(handle) {
+                PointStatus::Pending { .. } => std::thread::sleep(Duration::from_millis(10)),
+                PointStatus::Done(result) => return Ok(result),
+                PointStatus::Lost(cause) => return Err(cause),
             }
         }
     }
@@ -647,9 +513,9 @@ mod tests {
             .seed(1993);
         let local = experiment.clone().run().expect("local run");
         let handle = backend.submit(job_for(experiment, 0)).expect("submit");
-        let (result, attempts) = wait_done(&mut backend, handle);
-        assert_eq!(attempts, 1);
-        let remote = result.expect("remote run succeeds");
+        let remote = wait(&mut backend, handle)
+            .expect("no lost dispatch")
+            .expect("remote run succeeds");
         // Bit-exact equality across process + wire + JSON round-trip,
         // minus machine-dependent wall timing.
         assert_eq!(
@@ -670,8 +536,9 @@ mod tests {
             .offered_load(0.0)
             .quick();
         let handle = backend.submit(job_for(experiment, 0)).expect("submit");
-        let (result, _) = wait_done(&mut backend, handle);
-        let err = result.expect_err("invalid load must fail");
+        let err = wait(&mut backend, handle)
+            .expect("no lost dispatch")
+            .expect_err("invalid load must fail");
         assert!(
             matches!(err, ExperimentError::InvalidLoad { .. }),
             "got {err:?}"
@@ -679,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn poll_failure_fails_over_to_the_surviving_worker() {
+    fn poll_failure_reports_the_job_lost_and_drops_the_worker() {
         let doomed = crate::worker::spawn_killable(1);
         let survivor = spawn_local(1);
         let mut backend = RemoteBackend::connect(&[doomed.addr.to_string(), survivor.to_string()])
@@ -692,29 +559,37 @@ mod tests {
         let local = experiment.clone().run().expect("local reference run");
         // Submission goes to the first worker with a free slot — the
         // doomed one. Kill it mid-point; the next poll's RPC failure must
-        // re-dispatch the job to the survivor, not surface an error.
-        let handle = backend.submit(job_for(experiment, 0)).expect("submit");
+        // report the job lost and write the worker off.
+        let handle = backend
+            .submit(job_for(experiment.clone(), 0))
+            .expect("submit");
         doomed.kill();
-        let (result, _) = wait_done(&mut backend, handle);
-        let remote = result.expect("failover completes the point");
-        assert_eq!(
-            remote.latency.mean().to_bits(),
-            local.latency.mean().to_bits(),
-            "the re-dispatched point must reproduce the local result bit for bit"
-        );
-        assert_eq!(remote.cycles_simulated, local.cycles_simulated);
+        let cause = wait(&mut backend, handle).expect_err("the killed worker cannot answer");
+        assert_eq!(cause.worker, doomed.addr.to_string());
         assert_eq!(
             backend.capacity(),
             1,
             "the dead worker must drop out of the capacity count"
         );
+        // A re-submit lands on the survivor and reproduces the local
+        // result bit for bit.
+        let handle = backend.submit(job_for(experiment, 0)).expect("resubmit");
+        let remote = wait(&mut backend, handle)
+            .expect("the survivor answers")
+            .expect("the point completes");
+        assert_eq!(
+            remote.latency.mean().to_bits(),
+            local.latency.mean().to_bits()
+        );
+        assert_eq!(remote.cycles_simulated, local.cycles_simulated);
     }
 
     #[test]
     fn garbling_worker_is_cut_loose_and_the_point_lands_on_the_survivor() {
         // Every response body (except the chaos-exempt handshake) is
         // corrupted: valid HTTP framing, broken JSON. The backend must
-        // write the worker off instead of trusting a byte of it.
+        // write the worker off after its garbled submit replies instead
+        // of trusting a byte of it.
         let garbler =
             crate::worker::spawn_chaotic(1, crate::chaos::ChaosPlan::parse("corrupt=1").unwrap());
         let survivor = spawn_local(1);
@@ -727,8 +602,9 @@ mod tests {
             .seed(1993);
         let local = experiment.clone().run().expect("local reference run");
         let handle = backend.submit(job_for(experiment, 0)).expect("submit");
-        let (result, _) = wait_done(&mut backend, handle);
-        let remote = result.expect("the point must land on the survivor");
+        let remote = wait(&mut backend, handle)
+            .expect("the point must land on the survivor")
+            .expect("the point completes");
         assert_eq!(
             remote.latency.mean().to_bits(),
             local.latency.mean().to_bits(),

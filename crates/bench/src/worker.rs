@@ -1,19 +1,21 @@
 //! The `wormsim-worker` server: runs sweep points submitted over HTTP.
 //!
 //! A worker is a headless process that accepts serialized
-//! [`Experiment`]s, runs them through the same retrying executor the
-//! local backend uses ([`execute_point`](crate::backend::execute_point)),
-//! and serves results back as [`RunResult`] JSON. The protocol (see
-//! `docs/DISTRIBUTION.md`) has four endpoints:
+//! [`Experiment`]s, runs each one exactly once through the panic-isolating
+//! executor the local backend uses (`backend::run_isolated`), and serves
+//! results back as [`RunResult`] JSON. It never retries: re-running a point is
+//! the orchestrator's decision. The protocol (see `docs/DISTRIBUTION.md`)
+//! has four endpoints:
 //!
 //! * `GET /handshake` — wire protocol version, config digest, slot
 //!   count, draining flag.
-//! * `POST /submit` — enqueue a job (rejected with 409 on digest
-//!   mismatch, 400 on undecodable payloads, 503 while draining).
+//! * `POST /submit` — enqueue a job and answer the id the worker assigned
+//!   it (rejected with 409 on digest mismatch, 400 on undecodable
+//!   payloads, 503 while draining). Ids are unique for the worker's
+//!   lifetime, so any number of sweeps can share one worker.
 //! * `GET /status?job=ID` — `pending` (with the job's simulation
 //!   heartbeat, so a supervisor can tell hung from slow), `done` (with
-//!   the result and any retry decision), or `failed` (with the
-//!   configuration error).
+//!   the result), or `failed` (with the configuration error).
 //! * `POST /cancel` — trip every job's cancellation token.
 //!
 //! Simulation results are bit-deterministic in the experiment config, so
@@ -32,7 +34,7 @@
 //!   delays/drops/corrupts/truncates responses — the adversarial rig the
 //!   sweep supervisor is validated against (`chaos_soak`).
 
-use crate::backend::{execute_point, PointJob};
+use crate::backend::{run_isolated, PointJob};
 use crate::chaos::{salt, ChaosPlan};
 use crate::http;
 use std::collections::{HashMap, VecDeque};
@@ -81,14 +83,11 @@ enum JobPhase {
     /// simulation heartbeat stays frozen at zero forever.
     Stalled,
     Running,
-    Done(Result<RunResult, ExperimentError>, u64, Option<String>),
+    Done(Result<RunResult, ExperimentError>),
 }
 
 struct JobRecord {
     experiment: Experiment,
-    point_hash: String,
-    retries: u32,
-    resumed_from: Option<String>,
     cancel: CancelToken,
     phase: JobPhase,
 }
@@ -96,6 +95,8 @@ struct JobRecord {
 struct WorkerState {
     queue: VecDeque<u64>,
     jobs: HashMap<u64, JobRecord>,
+    /// The id the next accepted submit gets.
+    next_job: u64,
 }
 
 struct Shared {
@@ -154,6 +155,7 @@ fn serve_until(
         state: Mutex::new(WorkerState {
             queue: VecDeque::new(),
             jobs: HashMap::new(),
+            next_job: 0,
         }),
         ready: Condvar::new(),
         digest: wire_digest(),
@@ -286,7 +288,7 @@ pub(crate) fn spawn_killable(threads: usize) -> KillableWorker {
 
 fn sim_loop(shared: &Shared) {
     loop {
-        let (id, job, cancel) = {
+        let (id, job) = {
             let mut state = shared.state.lock().expect("no poisoned worker state");
             let id = loop {
                 if let Some(id) = state.queue.pop_front() {
@@ -302,17 +304,14 @@ fn sim_loop(shared: &Shared) {
                     .clone()
                     .cancel_token(record.cancel.clone()),
                 index: id as usize,
-                point_hash: record.point_hash.clone(),
-                retries: record.retries,
                 inject_panic: false,
-                resumed_from: record.resumed_from.clone(),
             };
-            (id, job, record.cancel.clone())
+            (id, job)
         };
-        let (result, attempts, retry_decision) = execute_point(&job, &cancel);
+        let result = run_isolated(&job);
         let mut state = shared.state.lock().expect("no poisoned worker state");
         if let Some(record) = state.jobs.get_mut(&id) {
-            record.phase = JobPhase::Done(result, attempts, retry_decision);
+            record.phase = JobPhase::Done(result);
         }
     }
 }
@@ -443,17 +442,6 @@ fn submit(body: &str, shared: &Shared) -> (u16, String) {
             )),
         );
     }
-    let Some(id) = value.get("job").and_then(json::Value::as_u64) else {
-        return (400, error_body("submit body missing integer field `job`"));
-    };
-    let retries = value
-        .get("retries")
-        .and_then(json::Value::as_u64)
-        .unwrap_or(0) as u32;
-    let resumed_from = value
-        .get("resumed_from")
-        .and_then(|v| v.as_str())
-        .map(str::to_owned);
     let Some(experiment_value) = value.get("experiment") else {
         return (
             400,
@@ -472,18 +460,13 @@ fn submit(body: &str, shared: &Shared) -> (u16, String) {
         std::process::exit(CHAOS_CRASH_EXIT);
     }
     let stalled = shared.chaos.stall_submit == Some(nth_submit);
-    let point_hash = experiment.point_hash();
     let mut state = shared.state.lock().expect("no poisoned worker state");
-    if state.jobs.contains_key(&id) {
-        return (400, error_body(&format!("duplicate job id {id}")));
-    }
+    let id = state.next_job;
+    state.next_job += 1;
     state.jobs.insert(
         id,
         JobRecord {
             experiment,
-            point_hash,
-            retries,
-            resumed_from,
             cancel: CancelToken::new(),
             phase: if stalled {
                 JobPhase::Stalled
@@ -531,17 +514,12 @@ fn job_status(query: &str, shared: &Shared, draining: bool) -> (u16, String) {
             obj.field_u64("heartbeat", record.cancel.heartbeat());
             obj.field_bool("draining", draining);
         }
-        JobPhase::Done(Ok(result), attempts, retry_decision) => {
+        JobPhase::Done(Ok(result)) => {
             obj.field_str("state", "done");
-            obj.field_u64("attempts", *attempts);
-            if let Some(decision) = retry_decision {
-                obj.field_str("retry_decision", decision);
-            }
             obj.field_raw("result", &result.to_json());
         }
-        JobPhase::Done(Err(err), attempts, _) => {
+        JobPhase::Done(Err(err)) => {
             obj.field_str("state", "failed");
-            obj.field_u64("attempts", *attempts);
             obj.field_str("error", &err.to_string());
         }
     }

@@ -59,7 +59,7 @@ pub enum PointStatus {
     },
     /// Finished: the run result, or the configuration error that
     /// rejected it. A `Done` status is consumed.
-    Done(Result<RunResult, ExperimentError>),
+    Done(Result<Box<RunResult>, ExperimentError>),
     /// The executor was lost (a dead or garbling worker) and the job
     /// with it. The handle is released; the point has not run.
     Lost(BackendError),
@@ -285,7 +285,7 @@ impl WorkerBackend for LocalThreadBackend {
     fn poll(&mut self, handle: WorkHandle) -> PointStatus {
         let mut state = self.shared.state.lock().expect("no poisoned backend state");
         match state.done.remove(&handle.0) {
-            Some(result) => PointStatus::Done(result),
+            Some(result) => PointStatus::Done(result.map(Box::new)),
             None => PointStatus::Pending { heartbeat: None },
         }
     }
@@ -351,7 +351,7 @@ mod tests {
                     assert_eq!(heartbeat, None, "the local pool reports no heartbeats");
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                PointStatus::Done(result) => return result,
+                PointStatus::Done(result) => return result.map(|r| *r),
                 PointStatus::Lost(cause) => panic!("the local pool never loses a job: {cause}"),
             }
         }

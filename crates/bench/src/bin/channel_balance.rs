@@ -4,7 +4,7 @@
 //! load over *virtual-channel classes* where nhop does not.
 
 use wormsim::{AlgorithmKind, ArrivalProcess, MessageLength, NetworkBuilder, TrafficConfig};
-use wormsim_bench::SweepOptions;
+use wormsim_bench::{parse_args_or_exit, SweepOptions};
 
 /// Coefficient of variation (stddev / mean) of a count vector.
 fn cov(counts: &[u64]) -> f64 {
@@ -22,7 +22,9 @@ fn cov(counts: &[u64]) -> f64 {
 }
 
 fn main() {
-    let options = SweepOptions::from_args();
+    let options = parse_args_or_exit("channel_balance", |args| {
+        SweepOptions::parse(args, |_, _, _| Ok(false))
+    });
     let topo = options.topology_or_paper();
     // Drive at a moderate 30% load so nothing is saturated; imbalance is a
     // property of the algorithm, not of congestion.

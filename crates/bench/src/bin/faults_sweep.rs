@@ -9,12 +9,7 @@
 //! [`RunOutcome`] and the sweep continues.
 //!
 //! ```text
-//! faults_sweep [--topo torus:8x8] [--algos all|ecube,phop,...] [--load L]
-//!              [--max-faults N] [--quick|--saturation] [--seed N]
-//!              [--threads N] [--cycle-budget N] [--wall-budget SECS]
-//!              [--out DIR] [--observe DIR] [--trace-out DIR]
-//!              [--sample-every N] [--metrics]
-//!              [--resume JOURNAL] [--retries N] [--smoke]
+//! faults_sweep [--algos A] [--load L] [--max-faults N] [--smoke] [shared options]
 //! ```
 //!
 //! `--observe DIR` writes per-run manifests and sample streams under
@@ -33,373 +28,179 @@
 use wormsim::faults::{FaultPlan, FaultRegion};
 use wormsim::topology::Topology;
 use wormsim::{
-    AlgorithmKind, Experiment, ExperimentError, MeasurementSchedule, ObserveConfig, RunOutcome,
-    RunResult,
+    AlgorithmKind, Experiment, ExperimentError, MeasurementSchedule, RunOutcome, RunResult,
 };
 use wormsim_bench::{
-    cli, install_sigint_handler, resume_command, BackendChoice, SweepOptions, SweepPlan,
+    cli, drop_unsupported, flag_value, parse_args_or_exit, run_or_exit, SweepOptions, SweepPlan,
 };
 
-const USAGE: &str = "usage: faults_sweep [--topo T] [--algos A] [--load L] [--max-faults N] \
-                     [--quick|--saturation] [--seed N] [--threads N] [--cycle-budget N] \
-                     [--wall-budget SECS] [--out DIR] [--observe DIR] [--trace-out DIR] \
-                     [--sample-every N] [--metrics] [--resume JOURNAL] [--salvage] [--retries N] \
-                     [--point-deadline SECS] [--hedge-after SECS] [--quarantine-after N] \
-                     [--backend local|remote] [--worker HOST:PORT] [--smoke]";
+const USAGE: &str = "faults_sweep [--algos A] [--load L] [--max-faults N] [--smoke]";
 
-/// Everything one parsed command line asks for.
-struct SweepSpec {
+/// The fault sweep's own axes; everything else is in [`SweepOptions`].
+struct FaultAxes {
+    /// `--topo`, or the 8x8 torus.
     topology: Topology,
     algorithms: Vec<AlgorithmKind>,
     load: f64,
     max_faults: usize,
-    schedule: MeasurementSchedule,
-    seed: u64,
-    threads: usize,
-    cycle_budget: Option<u64>,
-    wall_budget_secs: Option<f64>,
-    out_dir: String,
-    observe_dir: Option<String>,
-    trace_dir: Option<String>,
-    sample_every: u64,
-    metrics: bool,
-    resume: Option<String>,
-    salvage: bool,
-    retries: u32,
-    fail_after_points: Option<usize>,
-    point_deadline_secs: Option<f64>,
-    hedge_after_secs: Option<f64>,
-    quarantine_after: Option<u64>,
-    backend: BackendChoice,
 }
 
-enum Invocation {
-    Run(Box<SweepSpec>),
-    Help,
-}
+/// A point's outcome. `Err` means the configuration itself was rejected
+/// (e.g. the plan disconnected every node); runtime failures land in
+/// `Ok(result)` with a non-`Completed` outcome.
+type Outcome = Result<RunResult, ExperimentError>;
 
-/// One sweep point: an algorithm against a fault count. `Err` means the
-/// configuration itself was rejected (e.g. the plan disconnected every
-/// node); runtime failures land in `Ok(result)` with a non-`Completed`
-/// outcome.
-struct Point {
-    algorithm: String,
-    fault_count: usize,
-    result: Result<RunResult, ExperimentError>,
-}
-
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Invocation, String> {
-    let mut spec = SweepSpec {
+fn parse_args(args: Vec<String>) -> Result<(FaultAxes, SweepOptions), String> {
+    let mut axes = FaultAxes {
         topology: Topology::torus(&[8, 8]),
         algorithms: cli::parse_algorithms("all")?,
         load: 0.2,
         max_faults: 8,
-        schedule: MeasurementSchedule::default(),
-        seed: 1993,
-        threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        cycle_budget: None,
-        wall_budget_secs: None,
-        out_dir: "results".to_owned(),
-        observe_dir: None,
-        trace_dir: None,
-        sample_every: 0,
-        metrics: false,
-        resume: None,
-        salvage: false,
-        retries: 1,
-        fail_after_points: None,
-        point_deadline_secs: None,
-        hedge_after_secs: None,
-        quarantine_after: None,
-        backend: BackendChoice::Local,
     };
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
-        match arg.as_str() {
-            "--topo" => spec.topology = cli::parse_topology(&value("--topo")?)?,
-            "--algos" => spec.algorithms = cli::parse_algorithms(&value("--algos")?)?,
+    let options = SweepOptions::parse(args, |flag, args, options| {
+        match flag {
+            "--algos" => axes.algorithms = cli::parse_algorithms(&flag_value(flag, args)?)?,
             "--load" => {
-                let loads = cli::parse_loads(&value("--load")?)?;
+                let loads = cli::parse_loads(&flag_value(flag, args)?)?;
                 if loads.len() != 1 {
                     return Err(
                         "--load takes a single load; the sweep axis is fault count".to_owned()
                     );
                 }
-                spec.load = loads[0];
+                axes.load = loads[0];
             }
             "--max-faults" => {
-                spec.max_faults = cli::parse_cycle_budget(&value("--max-faults")?)? as usize;
+                axes.max_faults = cli::parse_cycle_budget(&flag_value(flag, args)?)? as usize;
             }
-            "--quick" => spec.schedule = MeasurementSchedule::quick(),
-            "--saturation" => spec.schedule = MeasurementSchedule::saturation(),
-            "--seed" => spec.seed = cli::parse_seed(&value("--seed")?)?,
-            "--threads" => spec.threads = cli::parse_threads(&value("--threads")?)?,
-            "--cycle-budget" => {
-                spec.cycle_budget = Some(cli::parse_cycle_budget(&value("--cycle-budget")?)?);
-            }
-            "--wall-budget" => {
-                spec.wall_budget_secs = Some(cli::parse_wall_budget(&value("--wall-budget")?)?);
-            }
-            "--out" => spec.out_dir = value("--out")?,
-            "--observe" => spec.observe_dir = Some(value("--observe")?),
-            "--trace-out" => spec.trace_dir = Some(value("--trace-out")?),
-            "--sample-every" => {
-                spec.sample_every = cli::parse_sample_every(&value("--sample-every")?)?;
-            }
-            "--metrics" => spec.metrics = true,
-            "--resume" => spec.resume = Some(value("--resume")?),
-            "--salvage" => spec.salvage = true,
-            "--retries" => spec.retries = cli::parse_retries(&value("--retries")?)?,
-            "--point-deadline" => {
-                spec.point_deadline_secs = Some(cli::parse_supervise_secs(
-                    "--point-deadline",
-                    &value("--point-deadline")?,
-                )?);
-            }
-            "--hedge-after" => {
-                spec.hedge_after_secs = Some(cli::parse_supervise_secs(
-                    "--hedge-after",
-                    &value("--hedge-after")?,
-                )?);
-            }
-            "--quarantine-after" => {
-                spec.quarantine_after =
-                    Some(cli::parse_quarantine_after(&value("--quarantine-after")?)?);
-            }
-            "--fail-after-points" => {
-                spec.fail_after_points =
-                    Some(cli::parse_fail_after(&value("--fail-after-points")?)?);
-            }
-            "--backend" => match value("--backend")?.as_str() {
-                "local" => match &spec.backend {
-                    BackendChoice::Remote { workers } if !workers.is_empty() => {
-                        return Err("--backend local conflicts with --worker".to_owned());
-                    }
-                    _ => spec.backend = BackendChoice::Local,
-                },
-                "remote" => {
-                    if spec.backend == BackendChoice::Local {
-                        spec.backend = BackendChoice::Remote {
-                            workers: Vec::new(),
-                        };
-                    }
-                }
-                other => {
-                    return Err(format!(
-                        "--backend must be 'local' or 'remote', got '{other}'"
-                    ))
-                }
-            },
-            "--worker" => {
-                let addr = value("--worker")?;
-                match &mut spec.backend {
-                    BackendChoice::Remote { workers } => workers.push(addr),
-                    BackendChoice::Local => {
-                        spec.backend = BackendChoice::Remote {
-                            workers: vec![addr],
-                        }
-                    }
-                }
-            }
+            // The CI preset: small, two algorithms, tightly budgeted.
             "--smoke" => {
-                spec.topology = Topology::torus(&[6, 6]);
-                spec.algorithms = cli::parse_algorithms("ecube,phop")?;
-                spec.max_faults = 2;
-                spec.schedule = MeasurementSchedule::quick();
-                spec.cycle_budget = Some(30_000);
+                options.topology = Some(Topology::torus(&[6, 6]));
+                axes.algorithms = cli::parse_algorithms("ecube,phop")?;
+                axes.max_faults = 2;
+                options.schedule = MeasurementSchedule::quick();
+                options.cycle_budget = Some(30_000);
             }
-            "--help" | "-h" => return Ok(Invocation::Help),
-            other => return Err(format!("unknown argument '{other}'")),
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    if let Some(topology) = &options.topology {
+        axes.topology = topology.clone();
     }
-    if spec.metrics && spec.observe_dir.is_none() {
-        return Err("--metrics needs --observe DIR (metrics export to the observe dir)".to_owned());
+    for note in drop_unsupported(&mut axes.algorithms, &axes.topology)? {
+        eprintln!("{note}");
     }
-    if spec.salvage && spec.resume.is_none() {
-        return Err(
-            "--salvage needs --resume JOURNAL (it relaxes how that journal is loaded)".to_owned(),
-        );
-    }
-    harness_options(&spec).validate_backend()?;
-    Ok(Invocation::Run(Box::new(spec)))
+    Ok((axes, options))
 }
 
 /// The fault plan for one sweep point: `count` seeded-random link kills.
 /// Each count perturbs the seed so plans differ, but the whole curve is
 /// reproducible from the base seed alone. Zero faults means *no* plan at
 /// all, keeping that point on the fault-free fast path as the baseline.
-fn plan_for(spec: &SweepSpec, count: usize) -> Option<FaultPlan> {
+fn plan_for(topology: &Topology, seed: u64, count: usize) -> Option<FaultPlan> {
     (count > 0).then(|| {
         FaultPlan::random_links(
-            &spec.topology,
+            topology,
             count,
-            spec.seed ^ (count as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            seed ^ (count as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             &FaultRegion::Anywhere,
         )
     })
 }
 
-/// Maps the spec's robustness knobs onto the shared harness options so
-/// [`wormsim_bench::run_sweep`] can drive the sweep.
-fn harness_options(spec: &SweepSpec) -> SweepOptions {
-    SweepOptions {
-        schedule: spec.schedule,
-        seed: spec.seed,
-        threads: spec.threads,
-        out_dir: spec.out_dir.clone(),
-        observe_dir: spec.observe_dir.clone(),
-        trace_dir: spec.trace_dir.clone(),
-        sample_every: spec.sample_every,
-        metrics: spec.metrics,
-        cycle_budget: spec.cycle_budget,
-        wall_budget_secs: spec.wall_budget_secs,
-        resume: spec.resume.clone(),
-        salvage: spec.salvage,
-        retries: spec.retries,
-        fail_after_points: spec.fail_after_points,
-        point_deadline_secs: spec.point_deadline_secs,
-        hedge_after_secs: spec.hedge_after_secs,
-        quarantine_after: spec
-            .quarantine_after
-            .unwrap_or(SweepOptions::default().quarantine_after),
-        backend: spec.backend.clone(),
-        ..SweepOptions::default()
-    }
-}
-
-/// Runs every `(fault count, algorithm)` point, fault-count-major so the
-/// printed table reads top to bottom as damage accumulates. Points run
-/// through the shared journaled orchestrator — panic-isolated, retried on
-/// transients, resumable — and never cancel each other: a bad point
-/// records its error and the sweep continues. Returns the completed
-/// points plus whether shutdown interrupted the sweep before the end.
-fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> (Vec<Point>, bool) {
-    let mut labels = Vec::new();
+/// Every `(fault count, algorithm)` point, fault-count-major so the
+/// printed table reads top to bottom as damage accumulates: point `i` is
+/// [`label`]`(i)`. The fault count rides in the observe prefix, so every
+/// point keeps a distinct run id and output file set. Not fail-fast: a
+/// bad point records its error and the sweep continues.
+fn plan(axes: &FaultAxes, options: &SweepOptions) -> SweepPlan {
     let mut experiments = Vec::new();
-    for count in 0..=spec.max_faults {
-        for &algorithm in &spec.algorithms {
-            let mut e = Experiment::new(spec.topology.clone(), algorithm)
-                .offered_load(spec.load)
-                .schedule(spec.schedule)
-                .seed(spec.seed)
-                .cycle_budget(spec.cycle_budget)
-                .wall_budget_secs(spec.wall_budget_secs)
-                .cancel_token(options.shutdown.clone());
-            if let Some(plan) = plan_for(spec, count) {
+    for count in 0..=axes.max_faults {
+        for &algorithm in &axes.algorithms {
+            let mut e = Experiment::new(axes.topology.clone(), algorithm)
+                .offered_load(axes.load)
+                .schedule(options.schedule)
+                .seed(options.seed);
+            if let Some(plan) = plan_for(&axes.topology, options.seed, count) {
                 e = e.faults(plan);
             }
-            if spec.observe_dir.is_some() || spec.trace_dir.is_some() {
-                // The fault count rides in the prefix: every (count, algo)
-                // point keeps a distinct run id and output file set.
-                e = e.observe(ObserveConfig {
-                    out_dir: spec.observe_dir.as_deref().map(Into::into),
-                    trace_dir: spec.trace_dir.as_deref().map(Into::into),
-                    sample_every: spec.sample_every,
-                    prefix: format!("faults{count}"),
-                    metrics: spec.metrics,
-                });
-            }
-            labels.push((count, algorithm.name().to_owned()));
-            experiments.push(e);
+            experiments.push(options.configure(e, &format!("faults{count}")));
         }
     }
-    let plan = SweepPlan::new(experiments).journal_name("faults_sweep.journal.jsonl");
-    let run = wormsim_bench::run_sweep(&plan, options).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let interrupted = run.interrupted;
-    if interrupted {
-        eprintln!(
-            "interrupted: {}/{} points completed and journaled",
-            run.outcomes.iter().filter(|o| o.is_some()).count(),
-            run.outcomes.len()
-        );
-        eprintln!("resume with: {}", resume_command(&run.journal));
-    }
-    let points = labels
-        .into_iter()
-        .zip(run.outcomes)
-        .filter_map(|((fault_count, algorithm), outcome)| {
-            outcome.map(|result| Point {
-                algorithm,
-                fault_count,
-                result,
-            })
-        })
-        .collect();
-    (points, interrupted)
+    SweepPlan::new(experiments).journal_name("faults_sweep.journal.jsonl")
 }
 
-/// One table cell: mean latency when the run produced statistics, the
-/// outcome tag in upper case when it did not.
-fn cell(point: &Point) -> String {
-    match &point.result {
-        Ok(r) if r.outcome.has_statistics() => format!("{:.1}", r.latency.mean()),
-        Ok(r) => r.outcome.tag().to_uppercase(),
-        Err(_) => "INVALID".to_owned(),
-    }
+/// Point `index`'s algorithm name and fault count.
+fn label(axes: &FaultAxes, index: usize) -> (&'static str, usize) {
+    let algorithms = axes.algorithms.len();
+    (
+        axes.algorithms[index % algorithms].name(),
+        index / algorithms,
+    )
 }
 
-fn print_table(spec: &SweepSpec, points: &[Point]) {
+/// Prints the two panels: mean latency (the outcome tag in upper case
+/// when a run produced no statistics) and delivered messages per node per
+/// cycle, one row per fault count.
+fn print_table(axes: &FaultAxes, seed: u64, points: &[Outcome]) {
     println!(
         "== Latency vs fault count on {} at load {:.2} (seed {}) ==",
-        spec.topology, spec.load, spec.seed
+        axes.topology, axes.load, seed
     );
-    println!("\nMean latency (cycles); non-numeric cells name the run outcome:");
-    print!("{:>7}", "faults");
-    for algo in &spec.algorithms {
-        print!("{:>12}", algo.name());
-    }
-    println!();
-    for count in 0..=spec.max_faults {
-        print!("{count:>7}");
-        for algo in &spec.algorithms {
-            let point = points
-                .iter()
-                .find(|p| p.fault_count == count && p.algorithm == algo.name())
-                .expect("every point was run");
-            print!("{:>12}", cell(point));
+    let panel = |title: &str, cell: fn(&Outcome) -> String| {
+        println!("\n{title}");
+        print!("{:>7}", "faults");
+        for algo in &axes.algorithms {
+            print!("{:>12}", algo.name());
         }
         println!();
-    }
-    println!("\nDelivered messages per node per cycle:");
-    print!("{:>7}", "faults");
-    for algo in &spec.algorithms {
-        print!("{:>12}", algo.name());
-    }
-    println!();
-    for count in 0..=spec.max_faults {
-        print!("{count:>7}");
-        for algo in &spec.algorithms {
-            let point = points
-                .iter()
-                .find(|p| p.fault_count == count && p.algorithm == algo.name())
-                .expect("every point was run");
-            match &point.result {
-                Ok(r) => print!("{:>12.3}", r.delivery_rate),
-                Err(_) => print!("{:>12}", "-"),
+        for (count, row) in points.chunks(axes.algorithms.len()).enumerate() {
+            print!("{count:>7}");
+            for point in row {
+                print!("{:>12}", cell(point));
             }
+            println!();
         }
-        println!();
-    }
+    };
+    panel(
+        "Mean latency (cycles); non-numeric cells name the run outcome:",
+        |result| match result {
+            Ok(r) if r.outcome.has_statistics() => format!("{:.1}", r.latency.mean()),
+            Ok(r) => r.outcome.tag().to_uppercase(),
+            Err(_) => "INVALID".to_owned(),
+        },
+    );
+    panel(
+        "Delivered messages per node per cycle:",
+        |result| match result {
+            Ok(r) => format!("{:.3}", r.delivery_rate),
+            Err(_) => "-".to_owned(),
+        },
+    );
 }
 
-fn write_csv(spec: &SweepSpec, points: &[Point], name: &str) -> std::io::Result<String> {
-    std::fs::create_dir_all(&spec.out_dir)?;
-    let path = format!("{}/{name}.csv", spec.out_dir);
+/// Writes the points `(index, outcome)` as `<out_dir>/<name>.csv`.
+fn write_csv<'a>(
+    axes: &FaultAxes,
+    points: impl Iterator<Item = (usize, &'a Outcome)>,
+    out_dir: &str,
+    name: &str,
+) -> std::io::Result<String> {
+    std::fs::create_dir_all(out_dir)?;
+    let path = format!("{out_dir}/{name}.csv");
     let mut out = String::from(
         "algorithm,fault_count,offered_load,outcome,latency_mean,achieved_utilization,\
          delivery_rate,messages_measured,cycles_simulated,dropped_events\n",
     );
-    for p in points {
-        match &p.result {
+    for (index, point) in points {
+        let (algorithm, fault_count) = label(axes, index);
+        match point {
             Ok(r) => {
                 out.push_str(&format!(
                     "{},{},{},{},{:.4},{:.6},{:.6},{},{},{}\n",
-                    p.algorithm,
-                    p.fault_count,
-                    spec.load,
+                    algorithm,
+                    fault_count,
+                    axes.load,
                     r.outcome,
                     r.latency.mean(),
                     r.achieved_utilization,
@@ -409,12 +210,7 @@ fn write_csv(spec: &SweepSpec, points: &[Point], name: &str) -> std::io::Result<
                     r.dropped_events,
                 ));
             }
-            Err(e) => {
-                eprintln!(
-                    "point {} @ {} faults invalid: {e}",
-                    p.algorithm, p.fault_count
-                );
-            }
+            Err(e) => eprintln!("point {algorithm} @ {fault_count} faults invalid: {e}"),
         }
     }
     wormsim::observe::atomic_write(std::path::Path::new(&path), &out)?;
@@ -422,67 +218,43 @@ fn write_csv(spec: &SweepSpec, points: &[Point], name: &str) -> std::io::Result<
 }
 
 fn main() {
-    let mut spec = match parse_args(std::env::args().skip(1)) {
-        Ok(Invocation::Run(spec)) => *spec,
-        Ok(Invocation::Help) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    spec.algorithms
-        .retain(|kind| match kind.build(&spec.topology) {
-            Ok(_) => true,
-            Err(e) => {
-                eprintln!("skipping {kind}: {e}");
-                false
-            }
-        });
-    assert!(
-        !spec.algorithms.is_empty(),
-        "no runnable algorithms selected"
-    );
+    let (axes, options) = parse_args_or_exit(USAGE, parse_args);
     eprintln!(
         "running {} points ({} fault counts x {} algorithms) on {} threads...",
-        (spec.max_faults + 1) * spec.algorithms.len(),
-        spec.max_faults + 1,
-        spec.algorithms.len(),
-        spec.threads
+        (axes.max_faults + 1) * axes.algorithms.len(),
+        axes.max_faults + 1,
+        axes.algorithms.len(),
+        options.threads
     );
-    let options = harness_options(&spec);
-    install_sigint_handler(&options.shutdown);
-    let (points, interrupted) = run_sweep(&spec, &options);
-    if interrupted {
-        // Partial results are still worth keeping — flush them under a
-        // name that cannot be mistaken for the full sweep.
-        match write_csv(&spec, &points, "faults_sweep.partial") {
-            Ok(path) => eprintln!("wrote partial results to {path}"),
-            Err(e) => eprintln!("could not write partial CSV: {e}"),
-        }
-        std::process::exit(130);
-    }
-    print_table(&spec, &points);
+    // Partial results are still worth keeping — flushed under a name that
+    // cannot be mistaken for the full sweep.
+    let run = run_or_exit(&plan(&axes, &options), &options, |outcomes| {
+        let ran = outcomes.iter().enumerate();
+        let ran = ran.filter_map(|(i, outcome)| Some((i, outcome.as_ref()?)));
+        write_csv(&axes, ran, &options.out_dir, "faults_sweep.partial")
+    });
+    let points: Vec<_> = run.outcomes.into_iter().flatten().collect();
+    print_table(&axes, options.seed, &points);
     // A smoke run must fail loudly if the graceful-degradation contract
     // breaks: every point must produce *some* outcome, and the zero-fault
-    // baseline must actually complete.
-    for p in &points {
-        if p.fault_count == 0 {
-            match &p.result {
-                Ok(r) => assert!(
-                    r.outcome == RunOutcome::Completed || r.outcome == RunOutcome::Saturated,
-                    "zero-fault baseline for {} ended {}",
-                    p.algorithm,
-                    r.outcome
-                ),
-                Err(e) => panic!("zero-fault baseline for {} invalid: {e}", p.algorithm),
-            }
+    // baseline (the first row) must actually complete.
+    for (index, point) in points.iter().enumerate().take(axes.algorithms.len()) {
+        let (algorithm, _) = label(&axes, index);
+        match point {
+            Ok(r) => assert!(
+                r.outcome == RunOutcome::Completed || r.outcome == RunOutcome::Saturated,
+                "zero-fault baseline for {algorithm} ended {}",
+                r.outcome
+            ),
+            Err(e) => panic!("zero-fault baseline for {algorithm} invalid: {e}"),
         }
     }
-    match write_csv(&spec, &points, "faults_sweep") {
+    match write_csv(
+        &axes,
+        points.iter().enumerate(),
+        &options.out_dir,
+        "faults_sweep",
+    ) {
         Ok(path) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write CSV: {e}"),
     }
@@ -492,45 +264,42 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Invocation, String> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+    fn parse(args: &[&str]) -> Result<(FaultAxes, SweepOptions), String> {
+        parse_args(args.iter().map(|s| (*s).to_owned()).collect())
     }
 
     #[test]
-    fn well_formed_args_parse() {
-        let Ok(Invocation::Run(spec)) = parse(&[
+    fn fault_axes_parse() {
+        let (axes, options) = parse(&[
             "--topo",
             "mesh:8x8",
+            "--algos",
+            "ecube,nlast",
             "--load",
             "0.3",
             "--max-faults",
             "4",
             "--seed",
             "7",
-            "--cycle-budget",
-            "50000",
-            "--wall-budget",
-            "2.5",
-        ]) else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(spec.topology, Topology::mesh(&[8, 8]));
-        assert!((spec.load - 0.3).abs() < 1e-12);
-        assert_eq!(spec.max_faults, 4);
-        assert_eq!(spec.seed, 7);
-        assert_eq!(spec.cycle_budget, Some(50_000));
-        assert_eq!(spec.wall_budget_secs, Some(2.5));
+        ])
+        .unwrap();
+        assert_eq!(axes.topology, Topology::mesh(&[8, 8]));
+        assert_eq!(axes.algorithms.len(), 2);
+        assert!((axes.load - 0.3).abs() < 1e-12);
+        assert_eq!(axes.max_faults, 4);
+        assert_eq!(options.seed, 7);
+        let (axes, _) = parse(&[]).unwrap();
+        assert_eq!(axes.topology, Topology::torus(&[8, 8]), "default network");
     }
 
     #[test]
     fn smoke_preset_is_small_and_budgeted() {
-        let Ok(Invocation::Run(spec)) = parse(&["--smoke"]) else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(spec.topology, Topology::torus(&[6, 6]));
-        assert_eq!(spec.algorithms.len(), 2);
-        assert_eq!(spec.max_faults, 2);
-        assert!(spec.cycle_budget.is_some());
+        let (axes, options) = parse(&["--smoke"]).unwrap();
+        assert_eq!(axes.topology, Topology::torus(&[6, 6]));
+        assert_eq!(axes.algorithms.len(), 2);
+        assert_eq!(axes.max_faults, 2);
+        assert_eq!(options.schedule, MeasurementSchedule::quick());
+        assert!(options.cycle_budget.is_some());
     }
 
     #[test]
@@ -540,104 +309,31 @@ mod tests {
     }
 
     #[test]
-    fn malformed_budgets_are_usage_errors() {
-        assert!(parse(&["--cycle-budget", "0"]).is_err());
-        assert!(parse(&["--wall-budget", "-3"]).is_err());
+    fn malformed_axes_are_usage_errors() {
         assert!(parse(&["--max-faults", "lots"]).is_err());
         assert!(parse(&["--hyperdrive"]).is_err());
     }
 
     #[test]
-    fn help_short_circuits() {
-        assert!(matches!(parse(&["--help"]), Ok(Invocation::Help)));
-    }
-
-    #[test]
-    fn robustness_flags_parse() {
-        let Ok(Invocation::Run(spec)) =
-            parse(&["--resume", "r/faults_sweep.journal.jsonl", "--retries", "2"])
-        else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(spec.resume.as_deref(), Some("r/faults_sweep.journal.jsonl"));
-        assert_eq!(spec.retries, 2);
-        assert!(parse(&["--retries", "2.5"]).is_err());
-        assert!(parse(&["--fail-after-points", "0"]).is_err());
-        let options = harness_options(&spec);
-        assert_eq!(options.resume, spec.resume);
-        assert_eq!(options.retries, 2);
-        assert!(!options.shutdown.is_cancelled());
-    }
-
-    #[test]
-    fn supervision_flags_parse() {
-        let Ok(Invocation::Run(spec)) = parse(&[
-            "--point-deadline",
-            "20",
-            "--hedge-after",
-            "4",
-            "--quarantine-after",
-            "1",
-            "--resume",
-            "r/faults_sweep.journal.jsonl",
-            "--salvage",
-        ]) else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(spec.point_deadline_secs, Some(20.0));
-        assert_eq!(spec.hedge_after_secs, Some(4.0));
-        assert_eq!(spec.quarantine_after, Some(1));
-        assert!(spec.salvage);
-        let options = harness_options(&spec);
-        assert_eq!(options.point_deadline_secs, Some(20.0));
-        assert_eq!(options.hedge_after_secs, Some(4.0));
-        assert_eq!(options.quarantine_after, 1);
-        assert!(options.salvage);
-        // Unset quarantine count falls back to the harness default.
-        let Ok(Invocation::Run(plain)) = parse(&[]) else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(
-            harness_options(&plain).quarantine_after,
-            SweepOptions::default().quarantine_after
-        );
-        assert!(parse(&["--point-deadline", "0"]).is_err());
-        assert!(parse(&["--salvage"]).is_err(), "--salvage needs --resume");
-    }
-
-    #[test]
-    fn observability_flags_parse() {
-        let Ok(Invocation::Run(spec)) = parse(&[
-            "--observe",
-            "obs",
-            "--trace-out",
-            "tr",
-            "--sample-every",
-            "250",
-            "--metrics",
-        ]) else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(spec.observe_dir.as_deref(), Some("obs"));
-        assert_eq!(spec.trace_dir.as_deref(), Some("tr"));
-        assert_eq!(spec.sample_every, 250);
-        assert!(spec.metrics);
-        let options = harness_options(&spec);
-        assert_eq!(options.observe_dir, spec.observe_dir);
-        assert!(options.metrics);
-        assert!(parse(&["--metrics"]).is_err(), "--metrics needs --observe");
-        assert!(parse(&["--sample-every", "0"]).is_err());
-    }
-
-    #[test]
     fn plans_differ_by_count_and_reproduce_by_seed() {
-        let Ok(Invocation::Run(spec)) = parse(&[]) else {
-            panic!("expected a run invocation");
-        };
-        assert!(plan_for(&spec, 0).is_none(), "baseline stays fault-free");
-        let a = plan_for(&spec, 3).expect("plan exists");
-        let b = plan_for(&spec, 3).expect("plan exists");
+        let topology = Topology::torus(&[8, 8]);
+        assert!(
+            plan_for(&topology, 1993, 0).is_none(),
+            "baseline stays fault-free"
+        );
+        let a = plan_for(&topology, 1993, 3).expect("plan exists");
+        let b = plan_for(&topology, 1993, 3).expect("plan exists");
         assert_eq!(a.faults(), b.faults(), "same seed, same plan");
         assert_eq!(a.faults().len(), 3);
+    }
+
+    #[test]
+    fn plan_labels_every_point_and_prefixes_its_fault_count() {
+        let (axes, options) = parse(&["--smoke", "--observe", "obs"]).unwrap();
+        let plan = plan(&axes, &options);
+        assert_eq!(plan.experiments().len(), 6);
+        assert_eq!(label(&axes, 0), ("ecube", 0));
+        assert_eq!(label(&axes, 5), ("phop", 2));
+        assert_eq!(plan.experiments()[0].cycle_budget_value(), Some(30_000));
     }
 }

@@ -6,30 +6,15 @@
 //! sweep [--topo torus:16x16] [--algos all|phop,ecube,...]
 //!       [--traffic uniform|hotspot:15,15@0.04|local:3|transpose|bitrev|complement]
 //!       [--loads 0.1:1.0:0.1 | 0.1,0.5,0.9] [--switching wh|wh:4|vct|saf]
-//!       [--quick|--saturation] [--seed N] [--threads N] [--out DIR]
-//!       [--observe DIR] [--trace-out DIR] [--sample-every N]
-//!       [--cycle-budget N] [--wall-budget SECS]
+//!       [shared options, see --help]
 //! ```
 //!
-//! With `--observe DIR`, every run writes a `RunManifest` JSON and a JSONL
-//! time-series sample stream under `DIR`; `--trace-out DIR` additionally
-//! streams per-message trace events; `--sample-every N` sets the sampling
-//! stride in cycles.
-//!
-//! Every sweep journals completed points to `DIR/sweep.journal.jsonl`
-//! (atomic JSONL, one record per point). After a crash or Ctrl-C, rerun
-//! with `--resume <journal>` to skip the journaled points — the merged
-//! CSV is byte-identical to an uninterrupted run. `--retries N` bounds
-//! retry attempts for transient outcomes (budget trips, harness panics);
-//! `--resume --salvage` additionally recovers every valid record from a
-//! corrupted journal, quarantining bad lines to a `.corrupt.jsonl` sidecar.
-//!
-//! With the remote backend, `--point-deadline SECS` writes off workers
-//! whose heartbeat freezes mid-point, `--hedge-after SECS` re-dispatches
-//! stragglers to idle capacity (first commit wins, duplicates discarded),
-//! and `--quarantine-after N` gives up on a point after N failed
-//! dispatches, parking it in a `.quarantine.jsonl` sidecar and exiting
-//! with code 4.
+//! The shared options (schedule, seed, threads, telemetry, budgets,
+//! resume, supervision, backend) are the ones every sweep binary takes;
+//! see `SweepOptions::parse`. Completed points are journaled to
+//! `DIR/sweep.journal.jsonl`; `--resume <journal>` continues a crashed or
+//! interrupted sweep, and the merged CSV is byte-identical to an
+//! uninterrupted run.
 //!
 //! Examples:
 //!
@@ -39,25 +24,17 @@
 //! ```
 
 use wormsim::presets::FigureSpec;
-use wormsim::MeasurementSchedule;
-use wormsim_bench::{cli, print_figure, run_figure_or_exit, write_csv, SweepOptions};
+use wormsim_bench::{
+    cli, drop_unsupported, figure_plan, flag_value, parse_args_or_exit, partial_csv, print_figure,
+    run_or_exit, write_csv, BackendChoice, SweepOptions,
+};
 
-const USAGE: &str = "usage: sweep [--topo T] [--algos A] [--traffic W] [--loads L] \
-                     [--switching S] [--quick|--saturation] [--seed N] [--threads N] [--out DIR] \
-                     [--observe DIR] [--trace-out DIR] [--sample-every N] [--metrics] \
-                     [--cycle-budget N] [--wall-budget SECS] \
-                     [--resume JOURNAL] [--salvage] [--retries N] \
-                     [--point-deadline SECS] [--hedge-after SECS] [--quarantine-after N] \
-                     [--backend local|remote] [--worker HOST:PORT]";
+const USAGE: &str = "sweep [--algos A] [--traffic W] [--loads L] [--switching S]";
 
-/// What one parsed command line asks for.
-enum Invocation {
-    Run(Box<FigureSpec>, Box<SweepOptions>),
-    Help,
-}
-
-/// Parses the sweep command line (program name already stripped).
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Invocation, String> {
+/// Parses the sweep command line (program name already stripped): the
+/// shared options plus the sweep's own axes. `--topo` is the network as
+/// given (no hotspot remap, unlike the figure studies).
+fn parse_args(args: Vec<String>) -> Result<(FigureSpec, SweepOptions), String> {
     let mut spec = FigureSpec {
         id: "sweep".to_owned(),
         title: "Custom sweep".to_owned(),
@@ -67,103 +44,29 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Invocation, Stri
         loads: wormsim::presets::paper_loads(),
         algorithms: wormsim::presets::paper_algorithms().to_vec(),
     };
-    let mut options = SweepOptions::default();
-
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
-        match arg.as_str() {
-            "--topo" => spec.topology = cli::parse_topology(&value("--topo")?)?,
-            "--algos" => spec.algorithms = cli::parse_algorithms(&value("--algos")?)?,
-            "--traffic" => spec.traffic = cli::parse_traffic(&value("--traffic")?)?,
-            "--loads" => spec.loads = cli::parse_loads(&value("--loads")?)?,
-            "--switching" => spec.switching = cli::parse_switching(&value("--switching")?)?,
-            "--quick" => options.schedule = MeasurementSchedule::quick(),
-            "--saturation" => options.schedule = MeasurementSchedule::saturation(),
-            "--seed" => options.seed = cli::parse_seed(&value("--seed")?)?,
-            "--threads" => options.threads = cli::parse_threads(&value("--threads")?)?,
-            "--out" => options.out_dir = value("--out")?,
-            "--observe" => options.observe_dir = Some(value("--observe")?),
-            "--trace-out" => options.trace_dir = Some(value("--trace-out")?),
-            "--sample-every" => {
-                options.sample_every = cli::parse_sample_every(&value("--sample-every")?)?;
-            }
-            "--metrics" => options.metrics = true,
-            "--cycle-budget" => {
-                options.cycle_budget = Some(cli::parse_cycle_budget(&value("--cycle-budget")?)?);
-            }
-            "--wall-budget" => {
-                options.wall_budget_secs = Some(cli::parse_wall_budget(&value("--wall-budget")?)?);
-            }
-            "--resume" => options.resume = Some(value("--resume")?),
-            "--salvage" => options.salvage = true,
-            "--retries" => options.retries = cli::parse_retries(&value("--retries")?)?,
-            "--point-deadline" => {
-                options.point_deadline_secs = Some(cli::parse_supervise_secs(
-                    "--point-deadline",
-                    &value("--point-deadline")?,
-                )?);
-            }
-            "--hedge-after" => {
-                options.hedge_after_secs = Some(cli::parse_supervise_secs(
-                    "--hedge-after",
-                    &value("--hedge-after")?,
-                )?);
-            }
-            "--quarantine-after" => {
-                options.quarantine_after =
-                    cli::parse_quarantine_after(&value("--quarantine-after")?)?;
-            }
-            "--fail-after-points" => {
-                options.fail_after_points =
-                    Some(cli::parse_fail_after(&value("--fail-after-points")?)?);
-            }
-            "--backend" => options.set_backend(&value("--backend")?)?,
-            "--worker" => options.add_worker(value("--worker")?),
-            "--help" | "-h" => return Ok(Invocation::Help),
-            other => return Err(format!("unknown argument '{other}'")),
+    let options = SweepOptions::parse(args, |flag, args, _| {
+        match flag {
+            "--algos" => spec.algorithms = cli::parse_algorithms(&flag_value(flag, args)?)?,
+            "--traffic" => spec.traffic = cli::parse_traffic(&flag_value(flag, args)?)?,
+            "--loads" => spec.loads = cli::parse_loads(&flag_value(flag, args)?)?,
+            "--switching" => spec.switching = cli::parse_switching(&flag_value(flag, args)?)?,
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    if let Some(topology) = &options.topology {
+        spec.topology = topology.clone();
     }
-    if options.metrics && options.observe_dir.is_none() {
-        return Err("--metrics needs --observe DIR (metrics export to the observe dir)".into());
+    // Drop algorithms the chosen topology rejects (e.g. nhop on odd tori),
+    // reporting what was skipped rather than dying.
+    for note in drop_unsupported(&mut spec.algorithms, &spec.topology)? {
+        eprintln!("{note}");
     }
-    if options.salvage && options.resume.is_none() {
-        return Err(
-            "--salvage needs --resume JOURNAL (it relaxes how that journal is loaded)".into(),
-        );
-    }
-    options.validate_backend()?;
-    Ok(Invocation::Run(Box::new(spec), Box::new(options)))
+    Ok((spec, options))
 }
 
 fn main() {
-    let (mut spec, options) = match parse_args(std::env::args().skip(1)) {
-        Ok(Invocation::Run(spec, options)) => (*spec, *options),
-        Ok(Invocation::Help) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-
-    // Drop algorithms the chosen topology rejects (e.g. nhop on odd tori),
-    // reporting what was skipped rather than dying.
-    spec.algorithms
-        .retain(|kind| match kind.build(&spec.topology) {
-            Ok(_) => true,
-            Err(e) => {
-                eprintln!("skipping {kind}: {e}");
-                false
-            }
-        });
-    assert!(
-        !spec.algorithms.is_empty(),
-        "no runnable algorithms selected"
-    );
-
+    let (mut spec, options) = parse_args_or_exit(USAGE, parse_args);
     spec.title = format!(
         "{} on {} under {} ({:?})",
         spec.algorithms
@@ -177,18 +80,15 @@ fn main() {
     );
 
     let points = spec.algorithms.len() * spec.loads.len();
-    match &options.backend {
-        wormsim_bench::BackendChoice::Local => {
-            eprintln!("running {points} points on {} threads...", options.threads);
-        }
-        wormsim_bench::BackendChoice::Remote { workers } => {
-            eprintln!(
-                "running {points} points on {} remote worker(s)...",
-                workers.len()
-            );
-        }
-    }
-    let results = run_figure_or_exit(&spec, &options);
+    let on = match &options.backend {
+        BackendChoice::Local => format!("{} threads", options.threads),
+        BackendChoice::Remote { workers } => format!("{} remote worker(s)", workers.len()),
+    };
+    eprintln!("running {points} points on {on}...");
+    let plan = figure_plan(&spec, &options);
+    // A fail-fast plan comes back without configuration errors.
+    let run = run_or_exit(&plan, &options, partial_csv(&spec.id, &options.out_dir));
+    let results: Vec<_> = run.outcomes.into_iter().flatten().flatten().collect();
     print_figure(&spec, &results);
     match write_csv(&spec.id, &results, &options.out_dir) {
         Ok(path) => eprintln!("wrote {path}"),
@@ -200,126 +100,49 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Invocation, String> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+    fn parse(args: &[&str]) -> Result<(FigureSpec, SweepOptions), String> {
+        parse_args(args.iter().map(|s| (*s).to_owned()).collect())
     }
 
     #[test]
-    fn well_formed_args_parse() {
-        let Ok(Invocation::Run(spec, options)) =
-            parse(&["--topo", "mesh:8x8", "--seed", "11", "--threads", "2"])
-        else {
-            panic!("expected a run invocation");
-        };
+    fn sweep_axes_parse() {
+        let (spec, options) = parse(&[
+            "--topo",
+            "mesh:8x8",
+            "--algos",
+            "ecube,2pn",
+            "--traffic",
+            "hotspot:3,3@0.1",
+            "--loads",
+            "0.1,0.5",
+            "--switching",
+            "vct",
+            "--seed",
+            "11",
+        ])
+        .unwrap();
         assert_eq!(spec.topology, wormsim::topology::Topology::mesh(&[8, 8]));
-        assert_eq!(options.seed, 11);
-        assert_eq!(options.threads, 2);
-    }
-
-    #[test]
-    fn observability_flags_parse() {
-        let Ok(Invocation::Run(_, options)) = parse(&[
-            "--observe",
-            "obs",
-            "--trace-out",
-            "tr",
-            "--sample-every",
-            "500",
-            "--metrics",
-        ]) else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(options.observe_dir.as_deref(), Some("obs"));
-        assert_eq!(options.trace_dir.as_deref(), Some("tr"));
-        assert_eq!(options.sample_every, 500);
-        assert!(options.metrics);
-        assert!(parse(&["--metrics"]).is_err(), "--metrics needs --observe");
-    }
-
-    #[test]
-    fn zero_threads_is_a_usage_error() {
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--sample-every", "0"]).is_err());
-    }
-
-    #[test]
-    fn budget_flags_parse() {
-        let Ok(Invocation::Run(_, options)) =
-            parse(&["--cycle-budget", "5000", "--wall-budget", "1.5"])
-        else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(options.cycle_budget, Some(5_000));
-        assert_eq!(options.wall_budget_secs, Some(1.5));
-        assert!(parse(&["--cycle-budget", "0"]).is_err());
-        assert!(parse(&["--wall-budget", "-2"]).is_err());
-    }
-
-    #[test]
-    fn malformed_integers_are_usage_errors() {
-        assert!(parse(&["--threads", "two"]).is_err());
-        assert!(parse(&["--threads", "1.0"]).is_err());
-        assert!(parse(&["--seed", "12three"]).is_err());
-        assert!(parse(&["--seed", "-4"]).is_err());
-    }
-
-    #[test]
-    fn missing_values_and_unknown_flags_are_usage_errors() {
-        assert!(parse(&["--seed"]).is_err());
-        assert!(parse(&["--loads"]).is_err());
-        assert!(parse(&["--hyperdrive"]).is_err());
-    }
-
-    #[test]
-    fn robustness_flags_parse() {
-        let Ok(Invocation::Run(_, options)) = parse(&[
-            "--resume",
-            "results/sweep.journal.jsonl",
-            "--retries",
-            "0",
-            "--fail-after-points",
-            "3",
-        ]) else {
-            panic!("expected a run invocation");
-        };
+        assert_eq!(spec.algorithms.len(), 2);
+        assert_eq!(spec.loads, vec![0.1, 0.5]);
+        assert_eq!(spec.switching, wormsim::Switching::VirtualCutThrough);
+        // The network as given: the hotspot is not remapped.
         assert_eq!(
-            options.resume.as_deref(),
-            Some("results/sweep.journal.jsonl")
+            spec.traffic,
+            wormsim::TrafficConfig::Hotspot {
+                nodes: vec![vec![3, 3]],
+                fraction: 0.1
+            }
         );
-        assert_eq!(options.retries, 0);
-        assert_eq!(options.fail_after_points, Some(3));
-        assert!(parse(&["--resume"]).is_err());
-        assert!(parse(&["--retries", "-1"]).is_err());
-        assert!(parse(&["--fail-after-points", "0"]).is_err());
+        assert_eq!(options.seed, 11);
     }
 
     #[test]
-    fn supervision_flags_parse() {
-        let Ok(Invocation::Run(_, options)) = parse(&[
-            "--point-deadline",
-            "30",
-            "--hedge-after",
-            "5.5",
-            "--quarantine-after",
-            "2",
-            "--resume",
-            "results/sweep.journal.jsonl",
-            "--salvage",
-        ]) else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(options.point_deadline_secs, Some(30.0));
-        assert_eq!(options.hedge_after_secs, Some(5.5));
-        assert_eq!(options.quarantine_after, 2);
-        assert!(options.salvage);
-        assert!(parse(&["--point-deadline", "0"]).is_err());
-        assert!(parse(&["--hedge-after", "-1"]).is_err());
-        assert!(parse(&["--quarantine-after", "many"]).is_err());
-        assert!(parse(&["--salvage"]).is_err(), "--salvage needs --resume");
-    }
-
-    #[test]
-    fn help_short_circuits() {
-        assert!(matches!(parse(&["--help"]), Ok(Invocation::Help)));
+    fn bad_axes_are_usage_errors() {
+        assert!(parse(&["--loads"]).is_err());
+        assert!(parse(&["--loads", "0"]).is_err());
+        assert!(parse(&["--algos", "warp"]).is_err());
+        assert!(parse(&["--hyperdrive"]).is_err());
+        // Nothing left to run is a usage error, not a panic.
+        assert!(parse(&["--topo", "torus:9x9", "--algos", "nhop,nbc"]).is_err());
     }
 }

@@ -1,8 +1,11 @@
-//! Shared harness for regenerating the paper's figures.
+//! Shared harness for regenerating the paper's evaluation.
 //!
-//! Runs [`FigureSpec`] sweeps in parallel across worker threads, prints
-//! paper-style latency/throughput series, and records CSV files that
-//! EXPERIMENTS.md references.
+//! Every sweep binary (`study`, `sweep`, `faults_sweep`) parses the same
+//! [`SweepOptions`], runs a [`SweepPlan`] in parallel through
+//! [`run_sweep`], and ends through [`run_or_exit`]; the [`studies`] table
+//! holds the paper's figures, in-text studies and ablations. The figure
+//! printers render paper-style latency/throughput series and the CSV
+//! files that EXPERIMENTS.md references.
 //!
 //! The harness is crash-safe: every completed point is checkpointed to a
 //! [`Journal`] (atomic JSONL, keyed by the point's configuration digest),
@@ -27,8 +30,8 @@ use std::sync::OnceLock;
 use wormsim::presets::FigureSpec;
 use wormsim::topology::Topology;
 use wormsim::{
-    format_results_table, format_sweep_csv, CancelToken, Experiment, ExperimentError,
-    MeasurementSchedule, ObserveConfig, RunResult,
+    format_results_table, format_sweep_csv, AlgorithmKind, CancelToken, Experiment,
+    ExperimentError, MeasurementSchedule, ObserveConfig, RunResult,
 };
 
 mod backend;
@@ -40,6 +43,7 @@ mod journal;
 pub mod plot;
 mod reference;
 mod remote;
+pub mod studies;
 mod supervisor;
 pub mod worker;
 pub use backend::{
@@ -80,7 +84,7 @@ extern "C" {
 /// sweep can stop dispatching, drain in-flight points, flush the journal
 /// and partial CSVs, and print a resume command. First caller wins: the
 /// token registered first stays registered for the process lifetime.
-pub fn install_sigint_handler(token: &CancelToken) {
+fn install_sigint_handler(token: &CancelToken) {
     let _ = SIGINT_TOKEN.set(token.clone());
     // SAFETY: `on_sigint` is async-signal-safe (a single atomic store) and
     // has the exact `extern "C" fn(i32)` shape signal(2) expects; the
@@ -90,7 +94,7 @@ pub fn install_sigint_handler(token: &CancelToken) {
     }
 }
 
-/// Command-line options shared by the figure binaries.
+/// Command-line options shared by every sweep binary.
 #[derive(Clone, Debug)]
 pub struct SweepOptions {
     /// Measurement schedule (`--quick` selects the short one).
@@ -157,8 +161,8 @@ pub struct SweepOptions {
     /// Test hook (not CLI-exposed): panic inside the worker at this point
     /// index, exercising per-point panic isolation.
     pub inject_panic: Option<usize>,
-    /// Cooperative shutdown flag. Binaries route SIGINT here via
-    /// [`install_sigint_handler`]; tests trip it directly.
+    /// Cooperative shutdown flag. [`run_or_exit`] routes SIGINT here;
+    /// tests trip it directly.
     pub shutdown: CancelToken,
     /// Where points execute (`--backend local|remote`, `--worker ADDR`);
     /// defaults to the in-process pool.
@@ -193,117 +197,132 @@ impl Default for SweepOptions {
     }
 }
 
-impl SweepOptions {
-    /// Parses `--quick`, `--saturation`, `--seed N`, `--out DIR`,
-    /// `--threads N`, `--observe DIR`, `--trace-out DIR`,
-    /// `--sample-every N` from `std::env::args`, exiting with a usage
-    /// message on stderr (status 2) for malformed input.
-    pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
-            eprintln!("error: {message}");
-            eprintln!(
-                "usage: [--quick|--saturation] [--topo T] [--seed N] [--out DIR] [--threads N] \
-                 [--observe DIR] [--trace-out DIR] [--sample-every N] [--metrics] \
-                 [--cycle-budget N] [--wall-budget SECS] [--resume JOURNAL] [--salvage] \
-                 [--retries N] [--point-deadline SECS] [--hedge-after SECS] \
-                 [--quarantine-after N] [--backend local|remote] [--worker HOST:PORT]..."
-            );
-            std::process::exit(2);
-        })
-    }
+/// Usage text for the flags [`SweepOptions::parse`] understands, appended
+/// to each binary's own usage line.
+pub const OPTIONS_USAGE: &str = "[--quick|--saturation] [--topo T] [--seed N] [--out DIR] \
+     [--threads N] [--observe DIR] [--trace-out DIR] [--sample-every N] [--metrics] \
+     [--cycle-budget N] [--wall-budget SECS] [--resume JOURNAL] [--salvage] [--retries N] \
+     [--point-deadline SECS] [--hedge-after SECS] [--quarantine-after N] \
+     [--backend local|remote] [--worker HOST:PORT]...";
 
-    /// Parses an argument iterator (program name already stripped).
+/// Parses the process arguments with `parse` (program name stripped). On
+/// `--help`/`-h` prints `usage: <usage> <OPTIONS_USAGE>` and exits 0; on a
+/// parse error prints the message and that usage on stderr and exits 2.
+pub fn parse_args_or_exit<T>(
+    usage: &str,
+    parse: impl FnOnce(Vec<String>) -> Result<T, String>,
+) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if wants_help(&args) {
+        println!("usage: {usage} {OPTIONS_USAGE}");
+        std::process::exit(0);
+    }
+    parse(args).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        eprintln!("usage: {usage} {OPTIONS_USAGE}");
+        std::process::exit(2);
+    })
+}
+
+/// Whether the arguments ask for the usage text (`--help` or `-h`
+/// anywhere), which short-circuits parsing.
+pub fn wants_help(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--help" || a == "-h")
+}
+
+/// The next argument as the value of `flag`.
+///
+/// # Errors
+///
+/// When the arguments ran out.
+pub fn flag_value(flag: &str, args: &mut dyn Iterator<Item = String>) -> Result<String, String> {
+    args.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+impl SweepOptions {
+    /// Parses an argument iterator (program name already stripped): the
+    /// shared flags listed in [`OPTIONS_USAGE`], plus whatever `own`
+    /// accepts. `own` sees every argument the shared parser does not
+    /// know, with the remaining arguments (to take a value from, see
+    /// [`flag_value`]) and the options so far; it returns whether it
+    /// consumed the argument.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for unknown flags, missing values,
-    /// malformed integers, and the nonsensical `--threads 0`.
-    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+    /// malformed integers, the nonsensical `--threads 0`, and inconsistent
+    /// combinations (`--metrics` without `--observe`, `--salvage` without
+    /// `--resume`, a remote backend without workers or with telemetry).
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        mut own: impl FnMut(
+            &str,
+            &mut dyn Iterator<Item = String>,
+            &mut SweepOptions,
+        ) -> Result<bool, String>,
+    ) -> Result<Self, String> {
+        let mut args = args.into_iter();
         let mut options = SweepOptions::default();
+        let (mut backend, mut workers) = (None, Vec::new());
         while let Some(arg) = args.next() {
-            match arg.as_str() {
+            let args: &mut dyn Iterator<Item = String> = &mut args;
+            let flag = arg.as_str();
+            let mut value = || flag_value(flag, args);
+            match flag {
                 "--quick" => options.schedule = MeasurementSchedule::quick(),
                 "--saturation" => options.schedule = MeasurementSchedule::saturation(),
-                "--topo" => {
-                    let v = args.next().ok_or("--topo needs a value")?;
-                    options.topology = Some(cli::parse_topology(&v)?);
-                }
-                "--seed" => {
-                    let v = args.next().ok_or("--seed needs a value")?;
-                    options.seed = cli::parse_seed(&v)?;
-                }
-                "--out" => {
-                    options.out_dir = args.next().ok_or("--out needs a directory")?;
-                }
-                "--threads" => {
-                    let v = args.next().ok_or("--threads needs a value")?;
-                    options.threads = cli::parse_threads(&v)?;
-                }
-                "--observe" => {
-                    options.observe_dir = Some(args.next().ok_or("--observe needs a directory")?);
-                }
-                "--trace-out" => {
-                    options.trace_dir = Some(args.next().ok_or("--trace-out needs a directory")?);
-                }
-                "--sample-every" => {
-                    let v = args.next().ok_or("--sample-every needs a value")?;
-                    options.sample_every = cli::parse_sample_every(&v)?;
-                }
+                "--topo" => options.topology = Some(cli::parse_topology(&value()?)?),
+                "--seed" => options.seed = cli::parse_seed(&value()?)?,
+                "--out" => options.out_dir = value()?,
+                "--threads" => options.threads = cli::parse_threads(&value()?)?,
+                "--observe" => options.observe_dir = Some(value()?),
+                "--trace-out" => options.trace_dir = Some(value()?),
+                "--sample-every" => options.sample_every = cli::parse_sample_every(&value()?)?,
                 "--metrics" => options.metrics = true,
                 "--cycle-budget" => {
-                    let v = args.next().ok_or("--cycle-budget needs a value")?;
-                    options.cycle_budget = Some(cli::parse_cycle_budget(&v)?);
+                    options.cycle_budget = Some(cli::parse_cycle_budget(&value()?)?)
                 }
                 "--wall-budget" => {
-                    let v = args.next().ok_or("--wall-budget needs a value")?;
-                    options.wall_budget_secs = Some(cli::parse_wall_budget(&v)?);
+                    options.wall_budget_secs = Some(cli::parse_wall_budget(&value()?)?)
                 }
-                "--resume" => {
-                    options.resume = Some(args.next().ok_or("--resume needs a journal file")?);
-                }
-                "--retries" => {
-                    let v = args.next().ok_or("--retries needs a value")?;
-                    options.retries = cli::parse_retries(&v)?;
-                }
+                "--resume" => options.resume = Some(value()?),
+                "--retries" => options.retries = cli::parse_retries(&value()?)?,
                 "--point-deadline" => {
-                    let v = args.next().ok_or("--point-deadline needs a value")?;
-                    options.point_deadline_secs =
-                        Some(cli::parse_supervise_secs("--point-deadline", &v)?);
+                    options.point_deadline_secs = Some(cli::parse_supervise_secs(flag, &value()?)?)
                 }
                 "--hedge-after" => {
-                    let v = args.next().ok_or("--hedge-after needs a value")?;
-                    options.hedge_after_secs =
-                        Some(cli::parse_supervise_secs("--hedge-after", &v)?);
+                    options.hedge_after_secs = Some(cli::parse_supervise_secs(flag, &value()?)?)
                 }
                 "--quarantine-after" => {
-                    let v = args.next().ok_or("--quarantine-after needs a value")?;
-                    options.quarantine_after = cli::parse_quarantine_after(&v)?;
+                    options.quarantine_after = cli::parse_quarantine_after(&value()?)?
                 }
                 "--salvage" => options.salvage = true,
                 "--fail-after-points" => {
-                    let v = args.next().ok_or("--fail-after-points needs a value")?;
-                    options.fail_after_points = Some(cli::parse_fail_after(&v)?);
+                    options.fail_after_points = Some(cli::parse_fail_after(&value()?)?)
                 }
-                "--backend" => {
-                    let v = args.next().ok_or("--backend needs 'local' or 'remote'")?;
-                    options.set_backend(&v)?;
-                }
-                "--worker" => {
-                    let v = args.next().ok_or("--worker needs HOST:PORT")?;
-                    options.add_worker(v);
-                }
-                other => {
-                    return Err(format!(
-                        "unknown argument '{other}' (expected --quick, --saturation, --topo T, \
-                         --seed N, --out DIR, --threads N, --observe DIR, --trace-out DIR, \
-                         --sample-every N, --metrics, --cycle-budget N, --wall-budget SECS, \
-                         --resume JOURNAL, --salvage, --retries N, --point-deadline SECS, \
-                         --hedge-after SECS, --quarantine-after N, --backend local|remote, \
-                         --worker HOST:PORT)"
-                    ))
+                "--backend" => backend = Some(value()?),
+                "--worker" => workers.push(value()?),
+                _ => {
+                    if !own(flag, args, &mut options)? {
+                        return Err(format!("unknown argument '{flag}'"));
+                    }
                 }
             }
         }
+        // Any --worker implies the remote backend.
+        options.backend = match backend.as_deref() {
+            Some("local") if !workers.is_empty() => {
+                return Err("--backend local conflicts with --worker".into());
+            }
+            Some("local") => BackendChoice::Local,
+            None if workers.is_empty() => BackendChoice::Local,
+            Some("remote") | None => BackendChoice::Remote { workers },
+            Some(other) => {
+                return Err(format!(
+                    "--backend must be 'local' or 'remote', got '{other}'"
+                ));
+            }
+        };
         if options.metrics && options.observe_dir.is_none() {
             return Err("--metrics needs --observe DIR (metrics export to the observe dir)".into());
         }
@@ -316,47 +335,23 @@ impl SweepOptions {
         Ok(options)
     }
 
-    /// Applies a `--backend` value.
-    ///
-    /// # Errors
-    ///
-    /// On anything other than `local` or `remote`, or `local` after
-    /// `--worker` already implied remote.
-    pub fn set_backend(&mut self, value: &str) -> Result<(), String> {
-        match value {
-            "local" => match &self.backend {
-                BackendChoice::Remote { workers } if !workers.is_empty() => {
-                    return Err("--backend local conflicts with --worker".into());
-                }
-                _ => self.backend = BackendChoice::Local,
-            },
-            "remote" => {
-                if self.backend == BackendChoice::Local {
-                    self.backend = BackendChoice::Remote {
-                        workers: Vec::new(),
-                    };
-                }
-            }
-            other => {
-                return Err(format!(
-                    "--backend must be 'local' or 'remote', got '{other}'"
-                ))
-            }
+    /// Decorates one sweep point with the per-run settings that come from
+    /// the command line: the cycle and wall budgets, and with `--observe`
+    /// or `--trace-out` the telemetry config, run ids prefixed `prefix`.
+    pub fn configure(&self, experiment: Experiment, prefix: &str) -> Experiment {
+        let experiment = experiment
+            .cycle_budget(self.cycle_budget)
+            .wall_budget_secs(self.wall_budget_secs);
+        if self.observe_dir.is_none() && self.trace_dir.is_none() {
+            return experiment;
         }
-        Ok(())
-    }
-
-    /// Adds a `--worker HOST:PORT` address, switching to the remote
-    /// backend if not already selected.
-    pub fn add_worker(&mut self, addr: String) {
-        match &mut self.backend {
-            BackendChoice::Remote { workers } => workers.push(addr),
-            BackendChoice::Local => {
-                self.backend = BackendChoice::Remote {
-                    workers: vec![addr],
-                }
-            }
-        }
+        experiment.observe(ObserveConfig {
+            out_dir: self.observe_dir.as_deref().map(Into::into),
+            trace_dir: self.trace_dir.as_deref().map(Into::into),
+            sample_every: self.sample_every,
+            prefix: prefix.to_owned(),
+            metrics: self.metrics,
+        })
     }
 
     /// Checks backend-dependent option consistency: the remote backend
@@ -467,51 +462,10 @@ impl std::error::Error for HarnessError {
     }
 }
 
-impl From<SweepError> for HarnessError {
-    fn from(e: SweepError) -> Self {
-        HarnessError::Sweep(e)
-    }
-}
-
 impl From<JournalError> for HarnessError {
     fn from(e: JournalError) -> Self {
         HarnessError::Journal(e)
     }
-}
-
-/// How a figure sweep ended.
-#[derive(Debug)]
-pub enum FigureRun {
-    /// Every point ran (or was resumed); results in deterministic order
-    /// (algorithm-major, load-minor).
-    Complete(Vec<RunResult>),
-    /// Shutdown tripped mid-sweep. In-flight points were drained, every
-    /// completed point is journaled, and `partial` holds the completed
-    /// results in sweep order (missing points simply absent).
-    Interrupted {
-        /// Results of the points that completed before shutdown.
-        partial: Vec<RunResult>,
-        /// Completed (journaled) point count.
-        completed: usize,
-        /// Total points in the sweep.
-        total: usize,
-        /// The journal to pass back via `--resume`.
-        journal: PathBuf,
-    },
-    /// The sweep ran to the end, but the supervisor quarantined poison
-    /// points along the way: every other point is journaled and present
-    /// in `partial`, and the quarantined ones are documented rather than
-    /// silently missing. Binaries exit with a distinct status (4).
-    Quarantined {
-        /// Results of every non-quarantined point, in sweep order.
-        partial: Vec<RunResult>,
-        /// The points the sweep completed without.
-        quarantined: Vec<QuarantineRecord>,
-        /// Total points in the sweep.
-        total: usize,
-        /// The journal (its `.quarantine.jsonl` sidecar has the details).
-        journal: PathBuf,
-    },
 }
 
 /// One sweep's raw per-point outcomes from [`run_sweep`].
@@ -718,8 +672,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
 
     let mut supervisor = Supervisor::new(experiments, &hashes, options, to_submit);
     let mut quarantined: Vec<QuarantineRecord> = Vec::new();
-    let mut retry_decisions: std::collections::BTreeMap<String, u64> =
-        std::collections::BTreeMap::new();
+    let mut retry_decisions = std::collections::BTreeMap::<String, u64>::new();
     let mut aborted = false;
     let mut cancel_sent = false;
     let mut done = resumed;
@@ -747,7 +700,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                 } => {
                     match &result {
                         Ok(r) => {
-                            let mut recorded = r.clone();
+                            let mut recorded = RunResult::clone(r);
                             // The only machine-dependent bytes in a result;
                             // zeroing them makes the journal byte-identical
                             // across backends and machines.
@@ -775,7 +728,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                             }
                         }
                     }
-                    slots[i] = Some((result, attempts));
+                    slots[i] = Some((result.map(|r| *r), attempts));
                     done += 1;
                     let remaining = total - done;
                     if remaining == 0 {
@@ -812,20 +765,10 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
     committer.flush()?;
     eprintln!();
 
-    let mut outcomes = Vec::with_capacity(total);
-    let mut attempts = Vec::with_capacity(total);
-    for slot in slots {
-        match slot {
-            Some((result, n)) => {
-                outcomes.push(Some(result));
-                attempts.push(n);
-            }
-            None => {
-                outcomes.push(None);
-                attempts.push(0);
-            }
-        }
-    }
+    let (outcomes, attempts): (Vec<_>, Vec<_>) = slots
+        .into_iter()
+        .map(|slot| slot.map_or((None, 0), |(result, n)| (Some(result), n)))
+        .unzip();
     // Quarantined points are deliberately absent, not pending: they must
     // not read as an interruption (which would promise a resume could
     // finish them).
@@ -903,11 +846,32 @@ fn write_sidecar(path: &Path, text: &str) -> Result<(), HarnessError> {
     })
 }
 
+/// Drops the algorithms `topology` cannot run (e.g. the negative-hop
+/// schemes on odd-radix tori) and returns one `skipping <algo>: <why>`
+/// note per dropped algorithm for the caller to print, or an error when
+/// no algorithm is left.
+pub fn drop_unsupported(
+    algorithms: &mut Vec<AlgorithmKind>,
+    topology: &Topology,
+) -> Result<Vec<String>, String> {
+    let mut notes = Vec::new();
+    algorithms.retain(|kind| match kind.build(topology) {
+        Ok(_) => true,
+        Err(e) => {
+            notes.push(format!("skipping {kind}: {e}"));
+            false
+        }
+    });
+    if algorithms.is_empty() {
+        return Err(format!("no selected algorithm supports {topology}"));
+    }
+    Ok(notes)
+}
+
 /// Applies the `--topo` override (if any) to a figure spec: retargets the
 /// network, remaps topology-dependent traffic (see
 /// [`FigureSpec::with_topology`]), and drops algorithms the new topology
-/// rejects (e.g. the negative-hop schemes on odd-radix tori), reporting each
-/// skip on stderr.
+/// rejects, returning the spec with the [`drop_unsupported`] notes.
 ///
 /// Without an override the spec is returned untouched, so the default 16×16
 /// figure outputs stay bit-identical.
@@ -915,110 +879,84 @@ fn write_sidecar(path: &Path, text: &str) -> Result<(), HarnessError> {
 /// # Panics
 ///
 /// Panics if the override leaves no runnable algorithm.
-pub fn apply_topology_override(spec: FigureSpec, options: &SweepOptions) -> FigureSpec {
+pub fn apply_topology_override(
+    spec: FigureSpec,
+    options: &SweepOptions,
+) -> (FigureSpec, Vec<String>) {
     let Some(topo) = &options.topology else {
-        return spec;
+        return (spec, Vec::new());
     };
     let mut spec = spec.with_topology(topo.clone());
-    spec.algorithms
-        .retain(|kind| match kind.build(&spec.topology) {
-            Ok(_) => true,
-            Err(e) => {
-                eprintln!("skipping {kind}: {e}");
-                false
-            }
-        });
-    assert!(
-        !spec.algorithms.is_empty(),
-        "no selected algorithm supports {topo}"
-    );
-    spec
+    let notes = drop_unsupported(&mut spec.algorithms, topo).unwrap_or_else(|e| panic!("{e}"));
+    (spec, notes)
 }
 
-/// Runs every `(algorithm, load)` experiment of a figure in parallel with
-/// the full robustness stack (see [`run_sweep`]) and returns results
-/// in deterministic order (algorithm-major, load-minor).
+/// A study's sweep: `points` in order, point `i` decorated by
+/// [`SweepOptions::configure`] with run ids prefixed `prefix(i)`,
+/// journaled to `<id>.journal.jsonl`, and fail-fast (one bad
+/// configuration means the whole study is wrong).
+pub fn study_plan(
+    id: &str,
+    points: Vec<Experiment>,
+    prefix: impl Fn(usize) -> String,
+    options: &SweepOptions,
+) -> SweepPlan {
+    let experiments = points
+        .into_iter()
+        .enumerate()
+        .map(|(i, e)| options.configure(e, &prefix(i)))
+        .collect();
+    SweepPlan::new(experiments)
+        .journal_name(format!("{id}.journal.jsonl"))
+        .fail_fast(true)
+}
+
+/// A figure's sweep: the [`study_plan`] of every `(algorithm, load)`
+/// point in algorithm-major, load-minor order, run ids prefixed with the
+/// figure id.
+pub fn figure_plan(spec: &FigureSpec, options: &SweepOptions) -> SweepPlan {
+    let points = wormsim::presets::experiments_for(spec, options.schedule, options.seed);
+    study_plan(&spec.id, points, |_| spec.id.clone(), options)
+}
+
+/// Runs `plan` through [`run_sweep`]; for a fail-fast plan the first
+/// configuration error (lowest index) becomes the sweep's error.
 ///
 /// # Errors
 ///
-/// The first failing experiment wins: its [`SweepError`] is returned and
-/// unclaimed points are cancelled (points already running finish but their
-/// results are dropped). Journal failures surface as
-/// [`HarnessError::Journal`]. Worker panics do not fail the sweep — they
-/// are recorded per point as [`wormsim::RunOutcome::Harness`].
-pub fn run_figure(spec: &FigureSpec, options: &SweepOptions) -> Result<FigureRun, HarnessError> {
-    let mut experiments = wormsim::presets::experiments_for(spec, options.schedule, options.seed);
-    if options.observe_dir.is_some() || options.trace_dir.is_some() {
-        let config = ObserveConfig {
-            out_dir: options.observe_dir.as_deref().map(Into::into),
-            trace_dir: options.trace_dir.as_deref().map(Into::into),
-            sample_every: options.sample_every,
-            prefix: spec.id.to_owned(),
-            metrics: options.metrics,
-        };
-        experiments = experiments
-            .into_iter()
-            .map(|e| e.observe(config.clone()))
-            .collect();
-    }
-    experiments = experiments
-        .into_iter()
-        .map(|e| {
-            e.cycle_budget(options.cycle_budget)
-                .wall_budget_secs(options.wall_budget_secs)
-                .cancel_token(options.shutdown.clone())
-        })
-        .collect();
-
-    let plan = SweepPlan::new(experiments)
-        .journal_name(format!("{}.journal.jsonl", spec.id))
-        .fail_fast(true);
-    let run = run_sweep(&plan, options)?;
-    let experiments = plan.experiments();
-
-    // First configuration error (lowest index) wins, as before.
-    for (i, outcome) in run.outcomes.iter().enumerate() {
-        if let Some(Err(e)) = outcome {
-            return Err(SweepError {
-                index: i,
-                algorithm: experiments[i].algorithm_kind().name().to_owned(),
-                offered_load: experiments[i].offered_load_value(),
-                source: e.clone(),
-            }
-            .into());
-        }
-    }
-    let total = run.outcomes.len();
-    let results: Vec<RunResult> = run
+/// [`HarnessError::Sweep`] naming that point, or any [`run_sweep`] error.
+pub(crate) fn run_checked(
+    plan: &SweepPlan,
+    options: &SweepOptions,
+) -> Result<ExperimentsRun, HarnessError> {
+    let run = run_sweep(plan, options)?;
+    let failed = run
         .outcomes
-        .into_iter()
-        .flatten()
-        .map(|r| r.expect("errors returned above"))
-        .collect();
-    if run.interrupted {
-        let completed = results.len();
-        return Ok(FigureRun::Interrupted {
-            partial: results,
-            completed,
-            total,
-            journal: run.journal,
+        .iter()
+        .enumerate()
+        .find_map(|(i, outcome)| match outcome {
+            Some(Err(e)) if plan.fail_fast => Some((i, e.clone())),
+            _ => None,
         });
-    }
-    if !run.quarantined.is_empty() {
-        return Ok(FigureRun::Quarantined {
-            partial: results,
-            quarantined: run.quarantined,
-            total,
-            journal: run.journal,
-        });
-    }
-    Ok(FigureRun::Complete(results))
+    let Some((index, source)) = failed else {
+        return Ok(run);
+    };
+    let experiment = &plan.experiments[index];
+    Err(HarnessError::Sweep(SweepError {
+        index,
+        algorithm: experiment.algorithm_kind().name().to_owned(),
+        offered_load: experiment.offered_load_value(),
+        source,
+    }))
 }
+
+/// Per point, in plan order: its result, or `None` if it never ran.
+pub type Outcomes = [Option<Result<RunResult, ExperimentError>>];
 
 /// The command line to paste to continue an interrupted sweep: the current
 /// invocation with any stale `--resume`/`--fail-after-points` stripped and
 /// `--resume <journal>` appended.
-pub fn resume_command(journal: &Path) -> String {
+fn resume_command(journal: &Path) -> String {
     let mut parts = Vec::new();
     let mut args = std::env::args();
     while let Some(arg) = args.next() {
@@ -1033,63 +971,66 @@ pub fn resume_command(journal: &Path) -> String {
     parts.join(" ")
 }
 
-/// Runs a figure for a binary: installs the SIGINT handler, and on
-/// interruption flushes a partial CSV, prints the resume command, and
-/// exits 130; when the supervisor quarantined poison points it flushes
-/// the partial CSV and exits 4 (distinct from both success and failure —
-/// most points are good data, but the figure is incomplete by design);
-/// on error exits 1. Returns only when the sweep completed whole.
-pub fn run_figure_or_exit(spec: &FigureSpec, options: &SweepOptions) -> Vec<RunResult> {
+/// Runs `plan` for a binary and returns the run, every point's outcome
+/// present, in plan order; configuration errors are present only when the
+/// plan is not fail-fast. Installs the SIGINT handler first. Every way a sweep can
+/// stop short exits the process the same way for every binary:
+///
+/// * interrupted (SIGINT): `write_partial` flushes the completed points,
+///   the resume command is printed, exit 130;
+/// * poison points quarantined: `write_partial` flushes the rest, the
+///   sidecar is named, exit 4 (most points are good data, but the sweep
+///   is incomplete by design);
+/// * a harness failure or a fail-fast configuration error: exit 1.
+pub fn run_or_exit(
+    plan: &SweepPlan,
+    options: &SweepOptions,
+    write_partial: impl FnOnce(&Outcomes) -> std::io::Result<String>,
+) -> ExperimentsRun {
     install_sigint_handler(&options.shutdown);
-    match run_figure(spec, options) {
-        Ok(FigureRun::Complete(results)) => results,
-        Ok(FigureRun::Interrupted {
-            partial,
-            completed,
-            total,
-            journal,
-        }) => {
-            if !partial.is_empty() {
-                match write_csv(&format!("{}.partial", spec.id), &partial, &options.out_dir) {
-                    Ok(path) => eprintln!("wrote partial results to {path}"),
-                    Err(e) => eprintln!("could not write partial CSV: {e}"),
-                }
-            }
-            eprintln!("interrupted: {completed}/{total} points completed and journaled");
-            eprintln!("resume with: {}", resume_command(&journal));
-            std::process::exit(130);
+    let run = run_checked(plan, options).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    if !run.interrupted && run.quarantined.is_empty() {
+        return run;
+    }
+    let total = run.outcomes.len();
+    let completed = run.outcomes.iter().filter(|o| o.is_some()).count();
+    if completed > 0 {
+        match write_partial(&run.outcomes) {
+            Ok(path) => eprintln!("wrote partial results to {path}"),
+            Err(e) => eprintln!("could not write partial CSV: {e}"),
         }
-        Ok(FigureRun::Quarantined {
-            partial,
-            quarantined,
-            total,
-            journal,
-        }) => {
-            if !partial.is_empty() {
-                match write_csv(&format!("{}.partial", spec.id), &partial, &options.out_dir) {
-                    Ok(path) => eprintln!("wrote partial results to {path}"),
-                    Err(e) => eprintln!("could not write partial CSV: {e}"),
-                }
-            }
-            eprintln!(
-                "quarantined: sweep completed {}/{total} points; {} written off as poison \
-                 (see {})",
-                total - quarantined.len(),
-                quarantined.len(),
-                Journal::quarantine_sidecar(&journal).display()
-            );
-            for record in &quarantined {
-                eprintln!(
-                    "  point {} after {} lost dispatches: {}",
-                    record.index, record.dispatches, record.last_error
-                );
-            }
-            std::process::exit(4);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+    }
+    if run.interrupted {
+        eprintln!("interrupted: {completed}/{total} points completed and journaled");
+        eprintln!("resume with: {}", resume_command(&run.journal));
+        std::process::exit(130);
+    }
+    eprintln!(
+        "quarantined: sweep completed {completed}/{total} points; {} written off as poison (see {})",
+        run.quarantined.len(),
+        Journal::quarantine_sidecar(&run.journal).display()
+    );
+    for record in &run.quarantined {
+        eprintln!(
+            "  point {} after {} lost dispatches: {}",
+            record.index, record.dispatches, record.last_error
+        );
+    }
+    std::process::exit(4);
+}
+
+/// A `write_partial` for [`run_or_exit`] that writes the completed points
+/// to `<out_dir>/<id>.partial.csv` in the sweep CSV format.
+pub fn partial_csv<'a>(
+    id: &'a str,
+    out_dir: &'a str,
+) -> impl FnOnce(&Outcomes) -> std::io::Result<String> + 'a {
+    move |outcomes| {
+        let done: Vec<RunResult> = outcomes.iter().flatten().flatten().cloned().collect();
+        write_csv(&format!("{id}.partial"), &done, out_dir)
     }
 }
 
@@ -1098,38 +1039,31 @@ pub fn run_figure_or_exit(spec: &FigureSpec, options: &SweepOptions) -> Vec<RunR
 pub fn print_figure(spec: &FigureSpec, results: &[RunResult]) {
     println!("== {} ({}) ==", spec.title, spec.id);
     let loads = &spec.loads;
-    println!("\nAverage latency (cycles) vs offered channel utilization:");
-    print!("{:>8}", "offered");
-    for algo in &spec.algorithms {
-        print!("{:>10}", algo.name());
-    }
-    println!();
-    for (li, load) in loads.iter().enumerate() {
-        print!("{load:>8.2}");
-        for (ai, _) in spec.algorithms.iter().enumerate() {
-            let r = &results[ai * loads.len() + li];
-            print!("{:>10.1}", r.latency.mean());
+    let series = |ai: usize| &results[ai * loads.len()..(ai + 1) * loads.len()];
+    let table = |title: &str, cell: fn(&RunResult) -> String| {
+        println!("\n{title} vs offered channel utilization:");
+        print!("{:>8}", "offered");
+        for algo in &spec.algorithms {
+            print!("{:>10}", algo.name());
         }
         println!();
-    }
-    println!("\nAchieved channel utilization vs offered channel utilization:");
-    print!("{:>8}", "offered");
-    for algo in &spec.algorithms {
-        print!("{:>10}", algo.name());
-    }
-    println!();
-    for (li, load) in loads.iter().enumerate() {
-        print!("{load:>8.2}");
-        for (ai, _) in spec.algorithms.iter().enumerate() {
-            let r = &results[ai * loads.len() + li];
-            print!("{:>10.4}", r.achieved_utilization);
+        for (li, load) in loads.iter().enumerate() {
+            print!("{load:>8.2}");
+            for ai in 0..spec.algorithms.len() {
+                print!("{:>10}", cell(&series(ai)[li]));
+            }
+            println!();
         }
-        println!();
-    }
+    };
+    table("Average latency (cycles)", |r| {
+        format!("{:.1}", r.latency.mean())
+    });
+    table("Achieved channel utilization", |r| {
+        format!("{:.4}", r.achieved_utilization)
+    });
     println!("\nPeak achieved utilization per algorithm:");
     for (ai, algo) in spec.algorithms.iter().enumerate() {
-        let series = &results[ai * loads.len()..(ai + 1) * loads.len()];
-        let best = series
+        let best = series(ai)
             .iter()
             .max_by(|a, b| {
                 a.achieved_utilization
@@ -1145,41 +1079,22 @@ pub fn print_figure(spec: &FigureSpec, results: &[RunResult]) {
         );
     }
     // ASCII renditions of the two panels, in the paper's style.
-    let latency_series: Vec<plot::Series> = spec
-        .algorithms
-        .iter()
-        .enumerate()
-        .map(|(ai, algo)| plot::Series {
-            label: algo.name().to_owned(),
-            marker: plot::MARKERS[ai % plot::MARKERS.len()],
-            points: loads
-                .iter()
-                .enumerate()
-                .map(|(li, &load)| (load, results[ai * loads.len() + li].latency.mean()))
-                .collect(),
-        })
-        .collect();
-    println!(
-        "{}",
-        plot::render("Average latency (cycles)", &latency_series, 64, 18)
-    );
-    let util_series: Vec<plot::Series> = latency_series
-        .iter()
-        .enumerate()
-        .map(|(ai, s)| plot::Series {
-            label: s.label.clone(),
-            marker: s.marker,
-            points: loads
-                .iter()
-                .enumerate()
-                .map(|(li, &load)| (load, results[ai * loads.len() + li].achieved_utilization))
-                .collect(),
-        })
-        .collect();
-    println!(
-        "{}",
-        plot::render("Achieved channel utilization", &util_series, 64, 18)
-    );
+    let chart = |title: &str, y: fn(&RunResult) -> f64| {
+        let curves: Vec<plot::Series> = (spec.algorithms.iter().enumerate())
+            .map(|(ai, algo)| plot::Series {
+                label: algo.name().to_owned(),
+                marker: plot::MARKERS[ai % plot::MARKERS.len()],
+                points: loads
+                    .iter()
+                    .zip(series(ai))
+                    .map(|(&l, r)| (l, y(r)))
+                    .collect(),
+            })
+            .collect();
+        println!("{}", plot::render(title, &curves, 64, 18));
+    };
+    chart("Average latency (cycles)", |r| r.latency.mean());
+    chart("Achieved channel utilization", |r| r.achieved_utilization);
     println!("{}", format_results_table(results));
 }
 
@@ -1223,27 +1138,13 @@ pub fn peak_utilization(results: &[RunResult], algorithm: &str) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Latency of one algorithm at the offered load closest to `load`.
-pub fn latency_at(results: &[RunResult], algorithm: &str, load: f64) -> f64 {
-    results
-        .iter()
-        .filter(|r| r.algorithm == algorithm)
-        .min_by(|a, b| {
-            (a.offered_load - load)
-                .abs()
-                .partial_cmp(&(b.offered_load - load).abs())
-                .expect("finite")
-        })
-        .map_or(f64::NAN, |r| r.latency.mean())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wormsim::{presets, RunOutcome};
 
     fn parse(args: &[&str]) -> Result<SweepOptions, String> {
-        SweepOptions::parse(args.iter().map(|s| (*s).to_owned()))
+        SweepOptions::parse(args.iter().map(|s| (*s).to_owned()), |_, _, _| Ok(false))
     }
 
     #[test]
@@ -1252,6 +1153,14 @@ mod tests {
         assert_eq!(options.seed, 7);
         assert_eq!(options.threads, 3);
         assert_eq!(options.out_dir, "o");
+    }
+
+    #[test]
+    fn help_short_circuits() {
+        let args = |args: &[&str]| args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
+        assert!(wants_help(&args(&["--help"])));
+        assert!(wants_help(&args(&["fig3", "--quick", "-h"])));
+        assert!(!wants_help(&args(&["--quick", "--seed", "7"])));
     }
 
     #[test]
@@ -1266,8 +1175,9 @@ mod tests {
     #[test]
     fn topology_override_rewrites_spec() {
         let options = parse(&["--topo", "torus:8x8"]).unwrap();
-        let spec = apply_topology_override(presets::fig4(), &options);
+        let (spec, notes) = apply_topology_override(presets::fig4(), &options);
         assert_eq!(spec.topology, Topology::torus(&[8, 8]));
+        assert!(notes.is_empty());
         // The corner hotspot moved with the network.
         match &spec.traffic {
             wormsim::TrafficConfig::Hotspot { nodes, .. } => {
@@ -1280,11 +1190,12 @@ mod tests {
         // An odd-radix torus drops the bipartite-only schemes but keeps
         // the rest runnable.
         let odd = parse(&["--topo", "torus:9x9"]).unwrap();
-        let spec = apply_topology_override(presets::fig3(), &odd);
+        let (spec, notes) = apply_topology_override(presets::fig3(), &odd);
         assert!(!spec.algorithms.is_empty());
-        assert!(spec.algorithms.len() < 6);
+        assert_eq!(spec.algorithms.len() + notes.len(), 6, "one note per skip");
+        assert!(notes[0].starts_with("skipping "), "got: {notes:?}");
         // No override: the spec is untouched.
-        let spec = apply_topology_override(presets::fig3(), &parse(&[]).unwrap());
+        let (spec, _) = apply_topology_override(presets::fig3(), &parse(&[]).unwrap());
         assert_eq!(spec.topology, presets::paper_topology());
     }
 
@@ -1396,6 +1307,82 @@ mod tests {
     }
 
     #[test]
+    fn options_parse_budget_and_supervision_flags() {
+        let options = parse(&[
+            "--cycle-budget",
+            "5000",
+            "--wall-budget",
+            "1.5",
+            "--point-deadline",
+            "30",
+            "--hedge-after",
+            "5.5",
+            "--quarantine-after",
+            "2",
+            "--resume",
+            "results/sweep.journal.jsonl",
+            "--salvage",
+        ])
+        .unwrap();
+        assert_eq!(options.cycle_budget, Some(5_000));
+        assert_eq!(options.wall_budget_secs, Some(1.5));
+        assert_eq!(options.point_deadline_secs, Some(30.0));
+        assert_eq!(options.hedge_after_secs, Some(5.5));
+        assert_eq!(options.quarantine_after, 2);
+        assert!(options.salvage);
+        assert!(parse(&["--cycle-budget", "0"]).is_err());
+        assert!(parse(&["--wall-budget", "-2"]).is_err());
+        assert!(parse(&["--point-deadline", "0"]).is_err());
+        assert!(parse(&["--hedge-after", "-1"]).is_err());
+        assert!(parse(&["--quarantine-after", "many"]).is_err());
+        assert!(parse(&["--salvage"]).is_err(), "--salvage needs --resume");
+    }
+
+    #[test]
+    fn options_parse_hands_unknown_arguments_to_the_hook() {
+        let mut seen = Vec::new();
+        let options = SweepOptions::parse(
+            ["fig3", "--quick", "--load", "0.3", "--smoke"].map(String::from),
+            |arg, args, options| {
+                match arg {
+                    "--load" => seen.push(flag_value(arg, args)?),
+                    "--smoke" => options.cycle_budget = Some(7),
+                    positional if !positional.starts_with('-') => seen.push(arg.to_owned()),
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            },
+        )
+        .unwrap();
+        assert_eq!(seen, ["fig3", "0.3"]);
+        assert_eq!(options.schedule, MeasurementSchedule::quick());
+        assert_eq!(
+            options.cycle_budget,
+            Some(7),
+            "the hook may set shared options"
+        );
+        // Shared flags win over the hook; what neither knows is an error.
+        let err = SweepOptions::parse(["--warp".to_owned()], |_, _, _| Ok(false)).unwrap_err();
+        assert!(err.contains("--warp"), "got: {err}");
+        let err = SweepOptions::parse(["--load".to_owned()], |arg, args, _| {
+            flag_value(arg, args).map(|_| true)
+        })
+        .unwrap_err();
+        assert!(err.contains("--load needs a value"), "got: {err}");
+    }
+
+    #[test]
+    fn configure_applies_budgets_and_observe_prefix() {
+        let base = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube);
+        let plain = SweepOptions::default().configure(base.clone(), "x");
+        assert_eq!(plain.point_hash(), base.point_hash());
+        let options = parse(&["--cycle-budget", "900", "--observe", "obs"]).unwrap();
+        let configured = options.configure(base.clone(), "fig3");
+        assert_eq!(configured.cycle_budget_value(), Some(900));
+        assert_ne!(configured.point_hash(), base.point_hash());
+    }
+
+    #[test]
     fn sweep_plan_validates_journal_names() {
         let plan = SweepPlan::new(Vec::new());
         assert_eq!(plan.journal_name, "sweep.journal.jsonl");
@@ -1432,11 +1419,13 @@ mod tests {
         spec
     }
 
-    fn complete(run: FigureRun) -> Vec<RunResult> {
-        match run {
-            FigureRun::Complete(results) => results,
-            other => panic!("sweep unexpectedly did not complete: {other:?}"),
-        }
+    fn complete(spec: &FigureSpec, options: &SweepOptions) -> Vec<RunResult> {
+        let run = run_checked(&figure_plan(spec, options), options).expect("all points run");
+        assert!(!run.interrupted && run.quarantined.is_empty());
+        run.outcomes
+            .into_iter()
+            .map(|o| o.expect("every point ran").expect("no configuration error"))
+            .collect()
     }
 
     #[test]
@@ -1450,7 +1439,7 @@ mod tests {
             threads: 4,
             ..SweepOptions::default()
         };
-        let results = complete(run_figure(&spec, &options).expect("all points run"));
+        let results = complete(&spec, &options);
         assert_eq!(results.len(), 4);
         // Ordering: algorithm-major, load-minor.
         assert_eq!(results[0].algorithm, "ecube");
@@ -1461,7 +1450,7 @@ mod tests {
         let csv = std::fs::read_to_string(path).unwrap();
         assert_eq!(csv.lines().count(), 5);
         assert!(peak_utilization(&results, "phop") > 0.2);
-        assert!(latency_at(&results, "ecube", 0.1) > 15.0);
+        assert!(results[0].latency.mean() > 15.0, "ecube at offered 0.1");
         std::fs::remove_dir_all(&options.out_dir).ok();
     }
 
@@ -1477,8 +1466,8 @@ mod tests {
             out_dir: temp_out_dir("first-failure"),
             ..SweepOptions::default()
         };
-        let harness_error =
-            run_figure(&spec, &options).expect_err("invalid load must fail the sweep");
+        let harness_error = run_checked(&figure_plan(&spec, &options), &options)
+            .expect_err("invalid load must fail the sweep");
         let HarnessError::Sweep(error) = harness_error else {
             panic!("expected a sweep error, got: {harness_error}");
         };
@@ -1512,7 +1501,7 @@ mod tests {
             inject_panic: Some(2),
             ..SweepOptions::default()
         };
-        let results = complete(run_figure(&spec, &options).expect("panic must not fail sweep"));
+        let results = complete(&spec, &options);
         assert_eq!(results.len(), 4);
         let RunOutcome::Harness(info) = &results[2].outcome else {
             panic!(
@@ -1585,20 +1574,12 @@ mod tests {
             ..SweepOptions::default()
         };
         options.shutdown.cancel();
-        match run_figure(&spec, &options).expect("interruption is not an error") {
-            FigureRun::Interrupted {
-                partial,
-                completed,
-                total,
-                journal,
-            } => {
-                assert!(partial.is_empty());
-                assert_eq!(completed, 0);
-                assert_eq!(total, 4);
-                assert!(journal.exists(), "journal path must exist for the hint");
-            }
-            other => panic!("pre-tripped shutdown must interrupt, got {other:?}"),
-        }
+        let run = run_checked(&figure_plan(&spec, &options), &options)
+            .expect("interruption is not an error");
+        assert!(run.interrupted, "pre-tripped shutdown must interrupt");
+        assert_eq!(run.outcomes.len(), 4);
+        assert!(run.outcomes.iter().all(Option::is_none));
+        assert!(run.journal.exists(), "journal path must exist for the hint");
         std::fs::remove_dir_all(&options.out_dir).ok();
     }
 
@@ -1614,7 +1595,7 @@ mod tests {
             ..SweepOptions::default()
         };
         // Clean reference run.
-        let clean = complete(run_figure(&spec, &base).expect("clean run"));
+        let clean = complete(&spec, &base);
         let journal_path = Path::new(&out_dir).join("fig3.journal.jsonl");
         assert!(journal_path.exists());
 
@@ -1627,7 +1608,7 @@ mod tests {
             resume: Some(journal_path.display().to_string()),
             ..base
         };
-        let resumed = complete(run_figure(&spec, &resumed_options).expect("resumed run"));
+        let resumed = complete(&spec, &resumed_options);
         assert_eq!(
             format_sweep_csv(&clean),
             format_sweep_csv(&resumed),

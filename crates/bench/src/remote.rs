@@ -302,7 +302,7 @@ enum StatusBody {
         heartbeat: Option<u64>,
         draining: bool,
     },
-    Done(RunResult),
+    Done(Box<RunResult>),
     Failed(String),
 }
 
@@ -321,7 +321,7 @@ fn decode_status(body: &str) -> Result<StatusBody, String> {
                 .get("result")
                 .ok_or_else(|| "done status missing `result`".to_owned())?;
             RunResult::from_json(result_value)
-                .map(StatusBody::Done)
+                .map(|result| StatusBody::Done(Box::new(result)))
                 .map_err(|err| format!("undecodable result: {err}"))
         }
         "failed" => Ok(StatusBody::Failed(
@@ -495,7 +495,7 @@ mod tests {
             assert!(Instant::now() < deadline, "remote worker hung");
             match backend.poll(handle) {
                 PointStatus::Pending { .. } => std::thread::sleep(Duration::from_millis(10)),
-                PointStatus::Done(result) => return Ok(result),
+                PointStatus::Done(result) => return Ok(result.map(|r| *r)),
                 PointStatus::Lost(cause) => return Err(cause),
             }
         }

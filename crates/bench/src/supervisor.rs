@@ -77,7 +77,7 @@ pub(crate) fn backoff_ms(key: &str, attempt: u64) -> u64 {
 }
 
 /// The stall triage of a run result, when the run stalled at all.
-fn stall_verdict(result: &Result<RunResult, ExperimentError>) -> Option<TriageVerdict> {
+fn stall_verdict(result: &Result<Box<RunResult>, ExperimentError>) -> Option<TriageVerdict> {
     match result {
         Ok(r) if matches!(r.outcome, RunOutcome::Deadlocked | RunOutcome::LiveLocked) => {
             r.triage.as_ref().map(|t| t.verdict)
@@ -124,7 +124,7 @@ pub(crate) enum Event {
     /// winning hedge).
     Done {
         index: usize,
-        result: Result<RunResult, ExperimentError>,
+        result: Result<Box<RunResult>, ExperimentError>,
         attempts: u64,
         retry_decision: Option<String>,
     },
@@ -270,7 +270,7 @@ impl<'a> Supervisor<'a> {
         f: usize,
         backend: &mut dyn WorkerBackend,
         now: Instant,
-    ) -> Option<Result<RunResult, ExperimentError>> {
+    ) -> Option<Result<Box<RunResult>, ExperimentError>> {
         let deadline = self
             .options
             .point_deadline_secs
@@ -330,7 +330,7 @@ impl<'a> Supervisor<'a> {
     fn settle(
         &mut self,
         f: usize,
-        result: Result<RunResult, ExperimentError>,
+        result: Result<Box<RunResult>, ExperimentError>,
         now: Instant,
         events: &mut Vec<Event>,
     ) -> bool {
@@ -540,7 +540,8 @@ mod tests {
         }
 
         fn finish(&mut self, handle: u64, result: RunResult) {
-            self.finished.insert(handle, PointStatus::Done(Ok(result)));
+            self.finished
+                .insert(handle, PointStatus::Done(Ok(Box::new(result))));
         }
 
         fn lose(&mut self, handle: u64, why: &str) {

@@ -83,7 +83,7 @@ enum JobPhase {
     /// simulation heartbeat stays frozen at zero forever.
     Stalled,
     Running,
-    Done(Result<RunResult, ExperimentError>),
+    Done(Result<Box<RunResult>, ExperimentError>),
 }
 
 struct JobRecord {
@@ -311,7 +311,7 @@ fn sim_loop(shared: &Shared) {
         let result = run_isolated(&job);
         let mut state = shared.state.lock().expect("no poisoned worker state");
         if let Some(record) = state.jobs.get_mut(&id) {
-            record.phase = JobPhase::Done(result);
+            record.phase = JobPhase::Done(result.map(Box::new));
         }
     }
 }

@@ -283,3 +283,51 @@ fn poison_point_quarantines_with_distinct_exit_code() {
 
     std::fs::remove_dir_all(&out_dir).ok();
 }
+
+/// The same poison scenario through `faults_sweep`: quarantine must end
+/// the sweep through the shared exit path (exit 4, the sidecar named),
+/// not fall through to the result table with points missing.
+#[test]
+fn faults_sweep_quarantine_exits_with_distinct_code() {
+    let staller_a = WorkerProc::spawn(1, Some("stall-submit=1"));
+    let staller_b = WorkerProc::spawn(1, Some("stall-submit=1"));
+    let out_dir = temp_dir("faults-quarantine");
+    let output = Command::new(env!("CARGO_BIN_EXE_faults_sweep"))
+        .args([
+            "--topo",
+            "torus:6x6",
+            "--algos",
+            "ecube",
+            "--max-faults",
+            "1",
+        ])
+        .args(["--quick", "--seed", "1993", "--out"])
+        .arg(&out_dir)
+        .args(["--backend", "remote"])
+        .args(["--worker", &staller_a.addr])
+        .args(["--worker", &staller_b.addr])
+        .args(["--point-deadline", "0.5"])
+        .args(["--quarantine-after", "1"])
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn quarantine fault sweep");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(4),
+        "quarantine must exit with its own code; stderr was:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("quarantined: sweep completed"),
+        "the shared exit path must report the quarantine; stderr was:\n{stderr}"
+    );
+    let sidecar = std::fs::read_to_string(out_dir.join("faults_sweep.journal.quarantine.jsonl"))
+        .expect("quarantine sidecar");
+    assert!(sidecar.contains("\"point_hash\""), "sidecar: {sidecar}");
+    assert!(
+        !out_dir.join("faults_sweep.csv").exists(),
+        "an incomplete sweep must not write the full CSV"
+    );
+
+    std::fs::remove_dir_all(&out_dir).ok();
+}

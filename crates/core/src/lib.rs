@@ -56,7 +56,7 @@ pub mod wire;
 pub use experiment::{Experiment, ExperimentError};
 pub use report::{format_results_table, format_sweep_csv};
 pub use result::{ClassLatency, PanicInfo, RunOutcome, RunResult, SweepPoint, SweepSummary};
-pub use saturation::SaturationPoint;
+pub use saturation::{saturation_step, SaturationPoint, SaturationStep};
 pub use schedule::MeasurementSchedule;
 pub use wire::{wire_digest, WIRE_PROTOCOL};
 

@@ -30,6 +30,59 @@ impl SaturationPoint {
     }
 }
 
+/// The next move of the saturation bisection: probe a load, or stop.
+#[derive(Clone, Debug)]
+pub enum SaturationStep {
+    /// Run the configuration at this offered load next.
+    Probe(f64),
+    /// The search is over.
+    Found(Box<SaturationPoint>),
+}
+
+/// Replays the bisection of [`Experiment::find_saturation`] over `runs`
+/// (every probe's result so far, in probe order) and returns its next
+/// step, so a serial search and a parallel sweep take the same steps.
+pub fn saturation_step(
+    tracking_fraction: f64,
+    iterations: usize,
+    runs: &[RunResult],
+) -> SaturationStep {
+    let (min_load, max_load) = (0.05, 1.0);
+    let saturated = |r: &RunResult| {
+        r.achieved_utilization < tracking_fraction * r.offered_load || r.deadlock.is_some()
+    };
+    let Some(low_run) = runs.first() else {
+        return SaturationStep::Probe(min_load);
+    };
+    let (mut below, mut above, mut at_below) = (min_load, min_load, low_run);
+    if !saturated(low_run) {
+        let Some(high_run) = runs.get(1) else {
+            return SaturationStep::Probe(max_load);
+        };
+        (below, above, at_below) = (max_load, max_load, high_run);
+        if saturated(high_run) {
+            (below, at_below) = (min_load, low_run);
+            for i in 0..iterations {
+                let mid = (below + above) / 2.0;
+                let Some(run) = runs.get(2 + i) else {
+                    return SaturationStep::Probe(mid);
+                };
+                if saturated(run) {
+                    above = mid;
+                } else {
+                    (below, at_below) = (mid, run);
+                }
+            }
+        }
+    }
+    SaturationStep::Found(Box::new(SaturationPoint {
+        below,
+        above,
+        at_below: at_below.clone(),
+        tracking_fraction,
+    }))
+}
+
 impl Experiment {
     /// Locates the offered load at which this configuration saturates:
     /// the point where achieved channel utilization drops below
@@ -52,48 +105,13 @@ impl Experiment {
         tracking_fraction: f64,
         iterations: usize,
     ) -> Result<SaturationPoint, ExperimentError> {
-        let (min_load, max_load) = (0.05, 1.0);
-        let saturated = |r: &RunResult| {
-            r.achieved_utilization < tracking_fraction * r.offered_load || r.deadlock.is_some()
-        };
-
-        let low_run = self.clone().offered_load(min_load).run()?;
-        if saturated(&low_run) {
-            return Ok(SaturationPoint {
-                below: min_load,
-                above: min_load,
-                at_below: low_run,
-                tracking_fraction,
-            });
-        }
-        let high_run = self.clone().offered_load(max_load).run()?;
-        let mut below = min_load;
-        let mut above = max_load;
-        let mut at_below = low_run;
-        if !saturated(&high_run) {
-            return Ok(SaturationPoint {
-                below: max_load,
-                above: max_load,
-                at_below: high_run,
-                tracking_fraction,
-            });
-        }
-        for _ in 0..iterations {
-            let mid = (below + above) / 2.0;
-            let run = self.clone().offered_load(mid).run()?;
-            if saturated(&run) {
-                above = mid;
-            } else {
-                below = mid;
-                at_below = run;
+        let mut runs = Vec::new();
+        loop {
+            match saturation_step(tracking_fraction, iterations, &runs) {
+                SaturationStep::Probe(load) => runs.push(self.clone().offered_load(load).run()?),
+                SaturationStep::Found(point) => return Ok(*point),
             }
         }
-        Ok(SaturationPoint {
-            below,
-            above,
-            at_below,
-            tracking_fraction,
-        })
     }
 }
 
